@@ -122,6 +122,8 @@ def parse_levels(spec: str) -> tuple:
             parts = [int(p) for p in spec.split(":")]
             if len(parts) == 2:
                 a, b = parts
+                if a < 1:
+                    raise UsageError("a doubling level range must start at >= 1")
                 out = []
                 while a <= b:
                     out.append(a)

@@ -33,6 +33,7 @@ from .errors import (
     SectionMismatch,
     SelfLoop,
     SizeOverflow,
+    UngroundedComponent,
     UnknownVertex,
 )
 
@@ -191,6 +192,17 @@ class Section:
             return False
         sub = self.adj[vertices][:, self.mask]
         return sub.nnz > 0
+
+    def ensure_grounded(self) -> None:
+        """Raise UngroundedComponent unless every interior component is
+        grounded, i.e. the interior energy matrix is positive definite."""
+        icomp = self.interior_components
+        for cid in np.unique(icomp[self.interior]):
+            members = np.flatnonzero(icomp == cid)
+            if not self.component_grounded(members):
+                raise UngroundedComponent(
+                    f"interior component of size {len(members)} touches no mask and has no killing term"
+                )
 
     def validate(self) -> "ValidationReport":
         """Check structural invariants and report the component layout."""

@@ -23,30 +23,17 @@ from typing import Mapping
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from .energy import energy, energy_inner, energy_matrix, formal_laplacian
+from .energy import energy, energy_inner, formal_laplacian
 from .errors import (
     InvalidParameter,
     MissingBoundaryValue,
     MonotonicityViolation,
     NotHarmonic,
-    UngroundedComponent,
 )
 from .graph import ExhaustionGenerator, Section, VertexFn, check_bound, format_label
-from .numerics import cg_solve
-from .potential import TransienceVerdict, UTReport, classify_transience, default_profile_levels
+from .potential import TransienceVerdict, UTReport, _extend, classify_transience, default_profile_levels
 
 HARMONIC_TOL = 1e-8
-
-
-def _ensure_grounded(s: Section) -> None:
-    icomp = s.interior_components
-    ncomp = icomp.max() + 1 if len(s.interior) else 0
-    for cid in range(ncomp):
-        members = np.flatnonzero(icomp == cid)
-        if not s.component_grounded(members):
-            raise UngroundedComponent(
-                f"interior component of size {len(members)} touches no mask and has no killing term"
-            )
 
 
 def solve_dirichlet(
@@ -69,18 +56,8 @@ def solve_dirichlet(
     missing = np.flatnonzero(s.dirichlet & ~given)
     if len(missing):
         raise MissingBoundaryValue(f"no value for masked vertices {missing.tolist()}")
-    _ensure_grounded(s)
-
-    inter = s.interior
-    if len(inter):
-        A = energy_matrix(s, inter)
-        mask = s.mask
-        if len(mask):
-            rhs = np.asarray(s.adj[inter][:, mask].dot(values[mask])).ravel()
-        else:
-            rhs = np.zeros(len(inter))
-        sol = cg_solve(A, rhs, rel_tol=rel_tol)
-        values[inter] = sol.x
+    s.ensure_grounded()
+    _extend(s, s.interior, values, rel_tol)
     return VertexFn(s, values)
 
 

@@ -50,13 +50,6 @@ class SymOperator:
     def dense(self) -> np.ndarray:
         return self._matrix.toarray()
 
-    def plus_diagonal(self, entries: dict) -> "SymOperator":
-        """Copy with entries[v] added on the diagonal."""
-        mat = self._matrix.tolil(copy=True)
-        for v, val in entries.items():
-            mat[v, v] = mat[v, v] + val
-        return SymOperator(mat.tocsr())
-
 
 @dataclass(frozen=True)
 class CGResult:
@@ -150,36 +143,13 @@ def solve_rank_one(
     rhs: np.ndarray,
     rel_tol: float = 1e-10,
     max_iter: int | None = None,
-    method: str = "direct",
 ) -> CGResult:
-    """Solve (A + e_o e_o^T) x = rhs.
-
-    method "direct" runs CG on the corrected operator; method
-    "sherman-morrison" combines two solves against plain A via the rank-one
-    update formula. Both must agree to the solver tolerance.
-    """
+    """Solve (A + e_o e_o^T) x = rhs by CG on the corrected operator."""
     n = A.dimension
     if not 0 <= o < n:
         raise InvalidParameter(f"pin vertex {o} out of range 0..{n - 1}")
-    if method == "direct":
-        corrected = A.plus_diagonal({o: 1.0})
-        return cg_solve(corrected, rhs, rel_tol=rel_tol, max_iter=max_iter)
-    if method == "sherman-morrison":
-        base = cg_solve(A, rhs, rel_tol=rel_tol, max_iter=max_iter)
-        e_o = np.zeros(n)
-        e_o[o] = 1.0
-        correction = cg_solve(A, e_o, rel_tol=rel_tol, max_iter=max_iter)
-        denom = 1.0 + correction.x[o]
-        if abs(denom) < 1e-300:
-            raise SingularOperator("rank-one denominator vanished")
-        x = base.x - correction.x * (base.x[o] / denom)
-        residual = float(np.linalg.norm(rhs - (A.apply(x) + e_o * x[o])))
-        return CGResult(
-            x=x,
-            iterations=base.iterations + correction.iterations,
-            residual=residual,
-        )
-    raise InvalidParameter(f"unknown method {method!r}")
+    bump = sp.csr_matrix(([1.0], ([o], [o])), shape=(n, n))
+    return cg_solve(SymOperator(A.matrix + bump), rhs, rel_tol=rel_tol, max_iter=max_iter)
 
 
 @dataclass(frozen=True)

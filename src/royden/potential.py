@@ -27,8 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
 
 from .energy import energy, energy_matrix
 from .errors import (
@@ -38,13 +36,24 @@ from .errors import (
     SameVertex,
 )
 from .graph import ExhaustionGenerator, Section, VertexFn
-from .numerics import cg_solve, dense_eigh, solve_rank_one
+from .numerics import cg_solve, solve_rank_one
 
 MONOTONE_SLACK = 1e-10
 
 
 # ---------------------------------------------------------------------------
 # capacity
+
+
+def _extend(s: Section, free: np.ndarray, values: np.ndarray, rel_tol: float) -> None:
+    """Overwrite values on free with the harmonic extension of the rest.
+
+    Solves A[free] u = adj[free] @ values, so values must be zero on free
+    on entry; the other entries are the prescribed data.
+    """
+    if len(free):
+        rhs = s.adj[free].dot(values)
+        values[free] = cg_solve(energy_matrix(s, free), rhs, rel_tol=rel_tol).x
 
 
 @dataclass(frozen=True)
@@ -70,12 +79,7 @@ def equilibrium_potential(s: Section, x, rel_tol: float = 1e-10) -> EquilibriumP
         values[comp] = 1.0
         return EquilibriumPotential(u=VertexFn(s, values), cap=0.0, degenerate=True)
     values[xi] = 1.0
-    rest = comp[comp != xi]
-    if len(rest):
-        A = energy_matrix(s, rest)
-        rhs = np.asarray(s.adj[rest][:, [xi]].todense()).ravel()
-        sol = cg_solve(A, rhs, rel_tol=rel_tol)
-        values[rest] = sol.x
+    _extend(s, comp[comp != xi], values, rel_tol)
     u = VertexFn(s, values)
     return EquilibriumPotential(u=u, cap=energy(s, u).value, degenerate=False)
 
@@ -311,10 +315,31 @@ class GammaValue:
         return self.value
 
 
-def _endpoint_components(s: Section, idxs):
-    """Interior components of the interior endpoints among idxs."""
-    comp_ids = {int(s.interior_components[v]) for v in idxs if not s.dirichlet[v]}
-    return comp_ids
+def _endpoint_support(s: Section, xi: int, yi: int) -> np.ndarray:
+    """Interior vertices on the interior components of the interior endpoints."""
+    icomp = s.interior_components
+    return np.flatnonzero(np.isin(icomp, [icomp[v] for v in (xi, yi) if not s.dirichlet[v]]))
+
+
+def _dual_form(s: Section, support, xi: int, yi: int, rel_tol: float, pin=None) -> float:
+    """max(chi^T A^(-1) chi, 0) for the energy matrix A on support.
+
+    chi is +1 at xi and -1 at yi, each only where that vertex lies in
+    support, so endpoints outside it sit at the ground. A pin inside
+    support adds f(pin)^2 to the form; one outside it cannot bind.
+    """
+    pos = {int(v): i for i, v in enumerate(support)}
+    chi = np.zeros(len(support))
+    if xi in pos:
+        chi[pos[xi]] += 1.0
+    if yi in pos:
+        chi[pos[yi]] -= 1.0
+    A = energy_matrix(s, support)
+    if pin in pos:
+        sol = solve_rank_one(A, pos[pin], chi, rel_tol=rel_tol)
+    else:
+        sol = cg_solve(A, chi, rel_tol=rel_tol)
+    return float(max(chi @ sol.x, 0.0))
 
 
 def gamma(s: Section, x, y, rel_tol: float = 1e-10) -> GammaValue:
@@ -331,39 +356,22 @@ def gamma(s: Section, x, y, rel_tol: float = 1e-10) -> GammaValue:
     xi, yi = s.index_of(x), s.index_of(y)
     if xi == yi:
         raise SameVertex(f"gamma needs two distinct vertices, got {x!r} twice")
-    x_int, y_int = not s.dirichlet[xi], not s.dirichlet[yi]
-    if not x_int and not y_int:
+    if s.dirichlet[xi] and s.dirichlet[yi]:
         return GammaValue(0.0, "wired")
 
-    comp_ids = _endpoint_components(s, (xi, yi))
     icomp = s.interior_components
-    all_grounded = all(
-        s.component_grounded(np.flatnonzero(icomp == cid)) for cid in comp_ids
-    )
-    if all_grounded:
-        members = np.flatnonzero(np.isin(icomp, sorted(comp_ids)))
-        pos = {int(v): i for i, v in enumerate(members)}
-        chi = np.zeros(len(members))
-        if x_int:
-            chi[pos[xi]] += 1.0
-        if y_int:
-            chi[pos[yi]] -= 1.0
-        A = energy_matrix(s, members)
-        sol = cg_solve(A, chi, rel_tol=rel_tol)
-        return GammaValue(float(np.sqrt(max(chi @ sol.x, 0.0))), "wired")
+    support = _endpoint_support(s, xi, yi)
+    if all(
+        s.component_grounded(np.flatnonzero(icomp == cid)) for cid in np.unique(icomp[support])
+    ):
+        return GammaValue(float(np.sqrt(_dual_form(s, support, xi, yi, rel_tol))), "wired")
 
-    if x_int and y_int and icomp[xi] == icomp[yi]:
-        # ungrounded shared component: constants drop out of differences,
-        # leaving the free effective resistance (pseudo-inverse semantics,
-        # realized by grounding y)
-        comp = np.flatnonzero(icomp == icomp[xi])
-        sub = comp[comp != yi]
-        pos = {int(v): i for i, v in enumerate(sub)}
-        A = energy_matrix(s, sub)
-        rhs = np.zeros(len(sub))
-        rhs[pos[xi]] = 1.0
-        sol = cg_solve(A, rhs, rel_tol=rel_tol)
-        return GammaValue(float(np.sqrt(max(sol.x[pos[xi]], 0.0))), "free-fallback")
+    if icomp[xi] == icomp[yi]:
+        # ungrounded shared component: it is a whole connected component,
+        # and constants drop out of differences, leaving its free
+        # effective resistance
+        value = free_resistance(s, s.labels[xi], s.labels[yi], rel_tol=rel_tol)
+        return GammaValue(float(np.sqrt(value)), "free-fallback")
 
     return GammaValue(math.inf, "recurrent-section")
 
@@ -380,27 +388,12 @@ def gamma_o(s: Section, o, x, y, rel_tol: float = 1e-10) -> float:
     full = s.full_components
     if not (full[xi] == full[yi] == full[oi]):
         raise DisconnectedPair("x, y and o must share a connected component")
-    if s.dirichlet[oi]:
-        return gamma(s, xi, yi, rel_tol=rel_tol).value
-    x_int, y_int = not s.dirichlet[xi], not s.dirichlet[yi]
-    if not x_int and not y_int:
+    if s.dirichlet[xi] and s.dirichlet[yi]:
         return 0.0
-    comp_ids = _endpoint_components(s, (xi, yi))
-    icomp = s.interior_components
-    members = np.flatnonzero(np.isin(icomp, sorted(comp_ids)))
-    pos = {int(v): i for i, v in enumerate(members)}
-    chi = np.zeros(len(members))
-    if x_int:
-        chi[pos[xi]] += 1.0
-    if y_int:
-        chi[pos[yi]] -= 1.0
-    A = energy_matrix(s, members)
-    if oi in pos:
-        sol = solve_rank_one(A, pos[oi], chi, rel_tol=rel_tol)
-    else:
-        # the pin lives on another component; its constraint cannot bind
-        sol = cg_solve(A, chi, rel_tol=rel_tol)
-    return float(np.sqrt(max(chi @ sol.x, 0.0)))
+    # a masked pin leaves every interior component of x and y touching
+    # the mask, so without the pin this is gamma's wired form
+    value = _dual_form(s, _endpoint_support(s, xi, yi), xi, yi, rel_tol, pin=oi)
+    return float(np.sqrt(value))
 
 
 def free_resistance(s: Section, x, y, rel_tol: float = 1e-10) -> float:
@@ -417,21 +410,9 @@ def free_resistance(s: Section, x, y, rel_tol: float = 1e-10) -> float:
     if full[xi] != full[yi]:
         raise DisconnectedPair(f"{x!r} and {y!r} lie in different components")
     comp = np.flatnonzero(full == full[xi])
-    if np.any(s.c[comp] > 0):
-        pos = {int(v): i for i, v in enumerate(comp)}
-        chi = np.zeros(len(comp))
-        chi[pos[xi]] = 1.0
-        chi[pos[yi]] = -1.0
-        A = energy_matrix(s, comp)
-        sol = cg_solve(A, chi, rel_tol=rel_tol)
-        return float(max(chi @ sol.x, 0.0))
-    sub = comp[comp != yi]
-    pos = {int(v): i for i, v in enumerate(sub)}
-    A = energy_matrix(s, sub)
-    rhs = np.zeros(len(sub))
-    rhs[pos[xi]] = 1.0
-    sol = cg_solve(A, rhs, rel_tol=rel_tol)
-    return float(max(sol.x[pos[xi]], 0.0))
+    if not np.any(s.c[comp] > 0):
+        comp = comp[comp != yi]
+    return _dual_form(s, comp, xi, yi, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -457,28 +438,6 @@ def default_gap_levels(gen: ExhaustionGenerator) -> tuple:
     if gen.family.startswith("lattice"):
         return (6, 9, 12)
     return (2, 3, 4)
-
-
-def _lambda0(sec: Section) -> float:
-    """Bottom eigenvalue of the Dirichlet pencil of one section."""
-    inter = sec.interior
-    if len(inter) == 0:
-        raise InvalidParameter("section has no interior")
-    A = energy_matrix(sec, inter)
-    mass = sec.m[inter]
-    if len(inter) <= 512:
-        return float(dense_eigh(A.dense(), mass).eigenvalues[0])
-    v0 = np.ones(len(inter)) / math.sqrt(len(inter))
-    vals = eigsh(
-        A.matrix,
-        k=1,
-        M=sp.diags(mass).tocsc(),
-        sigma=0,
-        which="LM",
-        v0=v0,
-        return_eigenvectors=False,
-    )
-    return float(vals[0])
 
 
 def uniform_transience_report(
@@ -533,8 +492,10 @@ def uniform_transience_report(
         inf_cap = ex.limit if ex.model == "plateau" else cls.profile.values[-1]
         verdict, evidence = "certified-UT", "transitivity"
     else:
+        from .spectral import spectrum  # spectral imports this module
+
         glv = _check_levels(gap_levels if gap_levels is not None else default_gap_levels(gen))
-        lams = [_lambda0(gen.section(lv)) for lv in glv]
+        lams = [float(spectrum(gen.section(lv), k=1).eigenvalues[0]) for lv in glv]
         deepest = gen.section(glv[-1])
         delta = float(np.min(deepest.m[deepest.interior]))
         stabilized = (

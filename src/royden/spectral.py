@@ -30,6 +30,7 @@ from .errors import (
     EmptyInterior,
     InvalidParameter,
     NegativeTime,
+    UngroundedComponent,
 )
 from .graph import Section, VertexFn, check_bound
 from .numerics import DENSE_CAP, SymOperator, dense_eigh
@@ -77,9 +78,13 @@ class SpectralResult:
 def spectrum(s: Section, k: int | None = None) -> SpectralResult:
     """Eigenvalues of the Dirichlet pencil, ascending.
 
-    Full dense solve by default (sizes above the dense cap are refused);
-    with k given, large sections fall back to a shift-invert Lanczos run
-    for the k smallest pairs.
+    This is the one dispatch between the dense and the Lanczos route.
+    Without k the full dense solve runs (sizes above DENSE_CAP are
+    refused). With k, the dense solve runs when the interior has at most
+    DENSE_SHORTCUT vertices or k >= interior size - 1, and returns the k
+    smallest pairs; otherwise a shift-invert Lanczos run at sigma = 0
+    finds them, which needs every interior component grounded (else
+    UngroundedComponent).
     """
     pencil = assemble_pencil(s)
     ni = len(pencil.interior)
@@ -107,7 +112,8 @@ def spectrum(s: Section, k: int | None = None) -> SpectralResult:
             raise DimensionCap(
                 f"dense spectrum of size {ni} above cap {DENSE_CAP}; pass k for a partial solve"
             )
-    # Lanczos fallback, deterministic start vector
+    s.ensure_grounded()  # the shift-invert factorization at 0 needs it
+    # deterministic start vector
     v0 = np.ones(ni) / math.sqrt(ni)
     w, V = eigsh(
         pencil.operator.matrix,
@@ -322,22 +328,22 @@ class SpectralGapReport:
 def spectral_gap_criterion(s: Section, trials: int = 32, seed: int = 0) -> SpectralGapReport:
     """Certify ||f||_inf^2 <= (delta lambda0)^(-1) energy(f) from a gap.
 
-    Needs lambda0 > 0 (automatic with a mask or killing term; an
-    unmasked killing-free section has lambda0 = 0 and the criterion does
-    not apply) and delta = min interior m > 0. Exports the capacity
-    bound cap(x) >= delta * lambda0 for every interior x.
+    Needs lambda0 > 0 (automatic with a mask or killing term; a section
+    with an interior component that has neither has lambda0 = 0 exactly
+    and the criterion does not apply) and delta = min interior m > 0.
+    Exports the capacity bound cap(x) >= delta * lambda0 for every
+    interior x.
     """
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
-    pencil = assemble_pencil(s)
-    ni = len(pencil.interior)
-    if ni <= DENSE_CAP:
-        lam0 = float(dense_eigh(pencil.operator.dense(), pencil.mass).eigenvalues[0])
+    try:
+        s.ensure_grounded()
+    except UngroundedComponent:
+        lam0 = 0.0
     else:
-        from .potential import _lambda0
-
-        lam0 = _lambda0(s)
-    delta = float(np.min(pencil.mass))
+        lam0 = float(spectrum(s, k=1).eigenvalues[0])
+    inter = s.interior
+    delta = float(np.min(s.m[inter]))
     scale = float(np.max(s.weighted_degree + s.c, initial=1.0))
     applicable = lam0 > 1e-10 * max(scale, 1.0) and delta > 0
     if not applicable:
@@ -357,7 +363,7 @@ def spectral_gap_criterion(s: Section, trials: int = 32, seed: int = 0) -> Spect
     max_ratio = 0.0
     for _ in range(trials):
         vec = np.zeros(s.n)
-        vec[pencil.interior] = rng.standard_normal(ni)
+        vec[inter] = rng.standard_normal(len(inter))
         f = VertexFn(s, vec)
         q = energy(s, f).value
         if q == 0.0:

@@ -192,6 +192,21 @@ def test_error_record_and_exit_codes(capsys, graph_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("levels", ["0:8", "-1:8"])
+def test_doubling_levels_below_one_are_usage_errors(capsys, levels):
+    code, _ = run(capsys, "cap-profile", "--generator", "lattice:d=1", f"--levels={levels}")
+    assert code == 2
+
+
+def test_spectrum_lanczos_on_ungrounded_section_exits_1(capsys, tmp_path):
+    s = R.build_section(600, [(i, i + 1, 1.0) for i in range(599)])
+    path = tmp_path / "path600.graph"
+    path.write_text(R.serialize_graph_file(s))
+    code, out = run(capsys, "spectrum", "--graph", str(path), "--k", "1")
+    assert code == 1
+    assert json.loads(out)["error"] == "UngroundedComponent"
+
+
 def test_vertex_cap_env_respected(capsys, monkeypatch):
     monkeypatch.setenv("ROYDEN_VERTEX_CAP", "10")
     code, out = run(capsys, "cap", "--generator", "lattice:d=2,r=4", "--vertex", "0,0")

@@ -58,13 +58,11 @@ def test_rank_one_routes_agree():
         A = B @ B.T + n * np.eye(n)
         rhs = rng.normal(size=n)
         o = int(rng.integers(0, n))
-        direct = solve_rank_one(op(A), o, rhs, method="direct")
-        sm = solve_rank_one(op(A), o, rhs, method="sherman-morrison")
+        got = solve_rank_one(op(A), o, rhs)
         bumped = A.copy()
         bumped[o, o] += 1.0
         exact = np.linalg.solve(bumped, rhs)
-        np.testing.assert_allclose(direct.x, exact, atol=1e-7)
-        np.testing.assert_allclose(sm.x, exact, atol=1e-7)
+        np.testing.assert_allclose(got.x, exact, atol=1e-7)
 
 
 def test_dense_eigh_pencil():

@@ -190,3 +190,119 @@ def test_profile_monotonicity_guard():
     gen = R.custom_generator(build, origin=0, family="custom")
     with pytest.raises(MonotonicityViolation):
         R.capacity_profile(gen, levels=(1, 2, 3))
+
+
+def _dense_laplacian(s):
+    """Energy matrix on all vertices, assembled densely from the weights."""
+    W = s.adj.toarray()
+    return np.diag(W.sum(axis=1) + s.c) - W
+
+
+def _unit(n, *signed):
+    v = np.zeros(n)
+    for i, sign in signed:
+        v[i] += sign
+    return v
+
+
+def _tree_edges(rng, lo, hi):
+    """Random spanning tree on lo..hi-1, weights in [0.2, 2]."""
+    return {(int(rng.integers(lo, i)), i): float(rng.uniform(0.2, 2.0)) for i in range(lo + 1, hi)}
+
+
+def _edge_list(edges):
+    return [(a, b, w) for (a, b), w in edges.items()]
+
+
+def _free_section(rng, with_killing):
+    """Connected random section with one cycle and no mask."""
+    n = int(rng.integers(4, 21))
+    edges = _tree_edges(rng, 0, n)
+    edges.setdefault((0, n - 1), 1.0)
+    c = None
+    if with_killing:
+        c = {int(v): float(rng.uniform(0.1, 1.0)) for v in rng.choice(n, size=2, replace=False)}
+    return R.build_section(n, _edge_list(edges), c=c)
+
+
+def _two_blobs(rng):
+    """Two random trees joined only through one masked hub vertex."""
+    k, n = int(rng.integers(3, 9)), int(rng.integers(12, 18))
+    hub = n - 1
+    edges = {**_tree_edges(rng, 0, k), **_tree_edges(rng, k, hub), (0, hub): 1.0, (k, hub): 1.0}
+    return R.build_section(n, _edge_list(edges), dirichlet=[hub]), k
+
+
+def _route_case(case, rng):
+    """(value from the library, value from a dense inv/pinv oracle)."""
+    if case == "pin-other-component":
+        s, k = _two_blobs(rng)
+        x, y = rng.choice(k, size=2, replace=False)
+        o = int(rng.integers(k, s.n - 1))
+        inter = s.interior
+        A = _dense_laplacian(s)[np.ix_(inter, inter)]
+        chi = _unit(len(inter), (int(x), 1.0), (int(y), -1.0))
+        return R.gamma_o(s, o, int(x), int(y)), math.sqrt(chi @ np.linalg.inv(A) @ chi)
+    if case in ("free-fallback", "resistance-free", "resistance-killing"):
+        s = _free_section(rng, with_killing=case == "resistance-killing")
+        x, y = (int(v) for v in rng.choice(s.n, size=2, replace=False))
+        L = _dense_laplacian(s)
+        inv = np.linalg.pinv(L) if case != "resistance-killing" else np.linalg.inv(L)
+        chi = _unit(s.n, (x, 1.0), (y, -1.0))
+        exact = float(chi @ inv @ chi)
+        if case == "free-fallback":
+            g = R.gamma(s, x, y)
+            assert g.regime == "free-fallback"
+            return float(g), math.sqrt(exact)
+        return R.free_resistance(s, x, y), exact
+
+    s = random_section(rng, n_max=20, with_killing=bool(rng.integers(0, 2)))
+    inter = [int(v) for v in s.interior]
+    pos = {v: i for i, v in enumerate(inter)}
+    L = _dense_laplacian(s)
+    A = L[np.ix_(inter, inter)]
+    if case == "capacity":
+        return R.interior_capacities(s), 1.0 / np.diag(np.linalg.inv(A))
+    if case == "dirichlet":
+        mask = [int(v) for v in s.mask]
+        g = rng.normal(size=len(mask))
+        u = np.zeros(s.n)
+        u[mask] = g
+        u[inter] = np.linalg.solve(A, -L[np.ix_(inter, mask)] @ g)
+        return R.solve_dirichlet(s, dict(zip(mask, g))).values, u
+    x, y = (int(v) for v in rng.choice(inter, size=2, replace=False))
+    if case == "masked-endpoint":
+        x = int(rng.choice(s.mask))
+    chi = _unit(len(inter), *[(pos[v], sign) for v, sign in ((x, 1.0), (y, -1.0)) if v in pos])
+    if case in ("wired", "masked-endpoint"):
+        g = R.gamma(s, x, y)
+        assert g.regime == "wired"
+        return float(g), math.sqrt(chi @ np.linalg.inv(A) @ chi)
+    if case == "pin-inside":
+        o = int(rng.choice(inter))
+        A = A + np.diag(_unit(len(inter), (pos[o], 1.0)))
+    else:  # "pin-masked": a masked pin adds nothing
+        o = int(rng.choice(s.mask))
+    return R.gamma_o(s, o, x, y), math.sqrt(chi @ np.linalg.inv(A) @ chi)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "wired",
+        "masked-endpoint",
+        "free-fallback",
+        "pin-inside",
+        "pin-other-component",
+        "pin-masked",
+        "resistance-killing",
+        "resistance-free",
+        "capacity",
+        "dirichlet",
+    ],
+)
+def test_grounded_solve_routes_match_dense_oracle(case):
+    rng = np.random.default_rng(sum(map(ord, case)))
+    for _ in range(8):
+        got, expected = _route_case(case, rng)
+        np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-10)

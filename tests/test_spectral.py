@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import royden as R
-from royden.errors import EmptyInterior, InvalidParameter, NegativeTime
+from royden.errors import EmptyInterior, InvalidParameter, NegativeTime, UngroundedComponent
 
 from conftest import random_fn, random_section
 
@@ -121,3 +121,15 @@ def test_spectral_gap_criterion(p3_both_masked):
     assert rep.applicable and rep.verified
     assert rep.lambda0 == pytest.approx(2.0, abs=1e-10)
     assert rep.cap_lower_bound == pytest.approx(2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [600, 5000])
+def test_ungrounded_section_has_exact_zero_gap(n):
+    # unmasked, killing-free path: the constants make lambda0 = 0, and the
+    # shift-invert factorization at 0 would be singular
+    s = R.build_section(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    with pytest.raises(UngroundedComponent):
+        R.spectrum(s, k=1)
+    rep = R.spectral_gap_criterion(s, trials=2)
+    assert not rep.applicable
+    assert rep.lambda0 == 0.0
