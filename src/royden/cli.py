@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -58,6 +59,7 @@ from .graph import (
     serialize_vertex_fn,
     tree_generator,
 )
+from .numerics import DENSE_CAP
 
 
 class UsageError(Exception):
@@ -66,6 +68,14 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------------------
 # argument helpers
+
+
+def _int_param(params: dict, key: str):
+    """Pop an integer-valued spec key (None when absent); 2.5 is refused."""
+    value = params.pop(key, None)
+    if value is not None and not isinstance(value, int):
+        raise UsageError(f"generator key {key} must be an integer, got {value!r}")
+    return value
 
 
 def parse_generator_spec(spec: str) -> tuple:
@@ -86,20 +96,20 @@ def parse_generator_spec(spec: str) -> tuple:
             if "d" not in params:
                 raise UsageError("lattice generator needs d=<dim>")
             gen = lattice_generator(
-                int(params.pop("d")),
+                _int_param(params, "d"),
                 c_origin=float(params.pop("c0", 0.0)),
                 c_const=float(params.pop("c", 0.0)),
             )
-            level = params.pop("r", None)
+            level = _int_param(params, "r")
         elif family == "tree":
             if "k" not in params:
                 raise UsageError("tree generator needs k=<degree>")
             gen = tree_generator(
-                int(params.pop("k")),
+                _int_param(params, "k"),
                 c_origin=float(params.pop("c0", 0.0)),
                 c_const=float(params.pop("c", 0.0)),
             )
-            level = params.pop("depth", None)
+            level = _int_param(params, "depth")
         else:
             raise UsageError(f"unknown generator family {family!r}")
     except RoydenError as exc:
@@ -107,7 +117,6 @@ def parse_generator_spec(spec: str) -> tuple:
     if params:
         raise UsageError(f"unknown generator keys {sorted(params)}")
     if level is not None:
-        level = int(level)
         if level < 1:
             raise UsageError(f"level must be >= 1, got {level}")
     return gen, level
@@ -138,6 +147,25 @@ def parse_levels(spec: str) -> tuple:
         return (int(spec),)
     except ValueError:
         raise UsageError(f"bad level list {spec!r}")
+
+
+def finite_float(text: str) -> float:
+    """argparse type: a finite float (nan and inf are usage errors)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    value = finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
 
 
 def _load_source(args) -> tuple:
@@ -535,9 +563,9 @@ def cmd_heat(args):
 def cmd_trace(args):
     s = need_section(args)
     try:
-        times = [float(tok) for tok in args.times.split(",")]
-    except ValueError:
-        raise UsageError(f"bad time grid {args.times!r}")
+        times = [finite_float(tok) for tok in args.times.split(",")]
+    except argparse.ArgumentTypeError:
+        raise UsageError(f"bad time grid {args.times!r}: each time must be a finite number")
     points = [{"t": t, "trace": spectral.heat_trace(s, t)} for t in times]
     rows = [(p["t"], p["trace"]) for p in points]
     emit(args, {"command": "trace", "points": points}, rows, ["t", "trace"])
@@ -597,11 +625,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--generator", metavar="SPEC", help="generator source, family:key=value,..."
     )
     shared.add_argument("--output", choices=("json", "csv"), default="json")
-    shared.add_argument("--tol", type=float, default=1e-3, help="classification tolerance")
+    shared.add_argument("--tol", type=finite_float, default=1e-3, help="classification tolerance")
     shared.add_argument(
-        "--tol-solver", type=float, default=1e-10, help="linear solver relative tolerance"
+        "--tol-solver", type=positive_float, default=1e-10, help="linear solver relative tolerance"
     )
-    shared.add_argument("--threads", type=int, default=1, help="parallel sweep width")
+    shared.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="parallel width of level sweeps, walker chunks and per-vertex capacity "
+        "solves; capacity solves run per vertex only on interior components "
+        f"above the dense size cap ({DENSE_CAP})",
+    )
 
     def add(name, fn, help_, **extra):
         p = sub.add_parser(name, parents=[shared], help=help_, description=help_)
@@ -656,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("truncate-harmonic", cmd_truncate_harmonic, "clamp a harmonic f, redecompose")
     p.add_argument("--fn", required=True, metavar="FILE")
-    p.add_argument("--bound", required=True, type=float)
+    p.add_argument("--bound", required=True, type=finite_float)
 
     p = add("liouville", cmd_liouville, "oscillation trend of receding sector data")
     p.add_argument("--levels", required=True)
@@ -674,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = add("heat", cmd_heat, "apply the heat semigroup to a function")
-    p.add_argument("--t", required=True, type=float)
+    p.add_argument("--t", required=True, type=finite_float)
     p.add_argument("--fn", required=True, metavar="FILE")
     p.add_argument("--check", action="store_true", help="also verify the sup-norm bound")
     p.add_argument("--trials", type=int, default=50)
@@ -702,6 +737,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`); point stdout at devnull
+        # so the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(args) -> int:
     try:
         args.handler(args)
     except UsageError as exc:

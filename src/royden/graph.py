@@ -15,6 +15,7 @@ across exhaustion levels.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -214,6 +215,8 @@ class Section:
         if adj.nnz:
             if adj.diagonal().any():
                 issues.append("nonzero diagonal (self loop)")
+            if not np.isfinite(adj.data).all():
+                issues.append("non-finite edge weight stored")
             if (adj.data <= 0).any():
                 issues.append("nonpositive edge weight stored")
             asym = abs(adj - adj.T)
@@ -221,8 +224,12 @@ class Section:
                 issues.append("edge weights not symmetric")
         if len(self.c) != n or (np.asarray(self.c) < 0).any():
             issues.append("killing term missing entries or negative")
+        if not np.isfinite(self.c).all():
+            issues.append("non-finite killing term")
         if len(self.m) != n or (np.asarray(self.m) <= 0).any():
             issues.append("measure missing entries or not strictly positive")
+        if not np.isfinite(self.m).all():
+            issues.append("non-finite measure")
         if len(self.labels) != n or len(set(self.labels)) != n:
             issues.append("labels missing or not unique")
         if len(self.dirichlet) != n:
@@ -318,7 +325,8 @@ def build_section(
     edges is an iterable of (u, v, weight) with 0-based indices; each
     unordered pair may appear once (repeats must carry the same weight).
     c and m may be dicts keyed by vertex or full arrays; c defaults to 0,
-    m to 1. dirichlet lists masked vertex indices.
+    m to 1. dirichlet lists masked vertex indices. Weights, c and m must
+    be finite.
     """
     if n < 1:
         raise InvalidParameter(f"need at least one vertex, got {n}")
@@ -332,6 +340,8 @@ def build_section(
             raise SelfLoop(f"self loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise UnknownVertex(f"edge ({u}, {v}) leaves vertex range 0..{n - 1}")
+        if not math.isfinite(w):
+            raise InvalidParameter(f"edge ({u}, {v}) has weight {w}, must be finite")
         if w <= 0:
             raise NegativeWeight(f"edge ({u}, {v}) has weight {w}, must be > 0")
         key = (u, v) if u < v else (v, u)
@@ -363,6 +373,8 @@ def build_section(
             if given.shape != (n,):
                 raise InvalidParameter(f"{name} must have {n} entries")
             arr = given.copy()
+        if not np.isfinite(arr).all():
+            raise InvalidParameter(f"{name} must be finite everywhere")
         if strict_positive and (arr <= 0).any():
             raise NonPositiveMeasure(f"{name} must be strictly positive everywhere")
         if not strict_positive and (arr < 0).any():
@@ -400,6 +412,8 @@ def with_measure(s: Section, m) -> Section:
         if arr.shape != (s.n,):
             raise InvalidParameter(f"measure must have {s.n} entries")
         arr = arr.copy()
+    if not np.isfinite(arr).all():
+        raise InvalidParameter("measure must be finite everywhere")
     if (arr <= 0).any():
         raise NonPositiveMeasure("measure must be strictly positive everywhere")
     return replace(s, m=arr)
@@ -512,6 +526,11 @@ def _lattice_section(d: int, radius: int, c_origin: float, c_const: float) -> Se
     return Section(adj=adj, c=c, m=np.ones(n), dirichlet=mask, labels=labels)
 
 
+def _check_killing(*terms: float) -> None:
+    if not all(math.isfinite(c) and c >= 0 for c in terms):
+        raise InvalidParameter("killing terms must be finite and nonnegative")
+
+
 def lattice_generator(d: int, c_origin: float = 0.0, c_const: float = 0.0) -> ExhaustionGenerator:
     """Integer lattice Z^d exhausted by sup-norm balls.
 
@@ -523,8 +542,7 @@ def lattice_generator(d: int, c_origin: float = 0.0, c_const: float = 0.0) -> Ex
     """
     if d < 1:
         raise InvalidParameter(f"lattice dimension must be >= 1, got {d}")
-    if c_origin < 0 or c_const < 0:
-        raise InvalidParameter("killing terms must be nonnegative")
+    _check_killing(c_origin, c_const)
     origin = 0 if d == 1 else tuple([0] * d)
     return ExhaustionGenerator(
         family="lattice",
@@ -584,8 +602,7 @@ def tree_generator(degree: int, c_origin: float = 0.0, c_const: float = 0.0) -> 
     """
     if degree < 3:
         raise InvalidParameter(f"tree degree must be >= 3, got {degree}")
-    if c_origin < 0 or c_const < 0:
-        raise InvalidParameter("killing terms must be nonnegative")
+    _check_killing(c_origin, c_const)
     return ExhaustionGenerator(
         family="tree",
         params=(("c", c_const), ("c0", c_origin), ("k", degree)),
@@ -665,6 +682,15 @@ def parse_graph_file(text: str) -> Section:
             raise GraphSyntaxError(f"vertex {v} out of range", lineno)
         return v
 
+    def want_number(token, what, lineno):
+        try:
+            x = float(token)
+        except ValueError:
+            raise GraphSyntaxError(f"bad {what} {token!r}", lineno)
+        if not math.isfinite(x):
+            raise GraphSyntaxError(f"{what} {token!r} is not finite", lineno)
+        return x
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -695,27 +721,17 @@ def parse_graph_file(text: str) -> Section:
                 raise GraphSyntaxError("E takes two vertices and a weight", lineno)
             u = want_vertex(parts[1], lineno)
             v = want_vertex(parts[2], lineno)
-            try:
-                w = float(parts[3])
-            except ValueError:
-                raise GraphSyntaxError(f"bad weight {parts[3]!r}", lineno)
-            edges.append((u, v, w))
+            edges.append((u, v, want_number(parts[3], "weight", lineno)))
         elif kind == "C":
             if len(parts) != 3:
                 raise GraphSyntaxError("C takes vertex and value", lineno)
             v = want_vertex(parts[1], lineno)
-            try:
-                c_entries[v] = float(parts[2])
-            except ValueError:
-                raise GraphSyntaxError(f"bad value {parts[2]!r}", lineno)
+            c_entries[v] = want_number(parts[2], "value", lineno)
         elif kind == "M":
             if len(parts) != 3:
                 raise GraphSyntaxError("M takes vertex and value", lineno)
             v = want_vertex(parts[1], lineno)
-            try:
-                m_entries[v] = float(parts[2])
-            except ValueError:
-                raise GraphSyntaxError(f"bad value {parts[2]!r}", lineno)
+            m_entries[v] = want_number(parts[2], "value", lineno)
         elif kind == "D":
             if len(parts) != 2:
                 raise GraphSyntaxError("D takes exactly one vertex", lineno)

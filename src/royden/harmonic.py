@@ -232,8 +232,8 @@ def truncate_harmonic(s: Section, f: VertexFn, bound: float, rel_tol: float = 1e
     gain energy; its harmonic part is the bounded-harmonic witness when
     it stays non-constant.
     """
-    if bound < 0:
-        raise InvalidParameter(f"bound must be >= 0, got {bound}")
+    if not (math.isfinite(bound) and bound >= 0):
+        raise InvalidParameter(f"bound must be finite and >= 0, got {bound}")
     require_harmonic(s, f)
     fn = f.clamp(-bound, bound)
     e_in = energy(s, f).value

@@ -1,10 +1,14 @@
 """Deterministic linear algebra kernels.
 
-Conjugate gradients with diagonal preconditioning is the single solver
-behind every capacity, metric and Dirichlet computation; it reports its
-iteration count and final residual so callers can surface them. Dense
-eigensolves reduce the generalized pencil (A, M) with diagonal M to an
-ordinary symmetric problem through the M^(-1/2) similarity.
+Conjugate gradients with diagonal preconditioning is the solver behind
+every metric and Dirichlet computation; it reports its iteration count
+and final residual so callers can surface them. Dense Cholesky
+(LAPACK dpotrf, worked in place on one dense copy) is the one dense
+route for grounded operators up to DENSE_CAP: it gives the diagonal of
+the inverse for interior capacities and takes over a grounded solve
+that CG gave up on. Dense eigensolves reduce the generalized pencil
+(A, M) with diagonal M to an ordinary symmetric problem through the
+M^(-1/2) similarity.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .errors import DimensionCap, InvalidParameter, NoConvergence, SingularOperator
 
@@ -137,6 +142,66 @@ def cg_solve(
     )
 
 
+def cholesky(A: SymOperator) -> np.ndarray:
+    """Upper Cholesky factor of A, written over a single dense copy.
+
+    The copy is in Fortran order so LAPACK dpotrf factors it in place;
+    the strict lower triangle keeps A's entries. Sizes above DENSE_CAP
+    are refused, and SingularOperator is raised when A is not
+    numerically positive definite.
+    """
+    n = A.dimension
+    if n > DENSE_CAP:
+        raise DimensionCap(f"dense factorization of size {n} above cap {DENSE_CAP}")
+    if not np.isfinite(A.matrix.data).all():
+        raise InvalidParameter("operator has non-finite entries")
+    factor, info = lapack.dpotrf(A.matrix.toarray(order="F"), overwrite_a=1, clean=0)
+    if info > 0:
+        raise SingularOperator(f"leading minor of order {info} is not positive definite")
+    return factor
+
+
+def inverse_diagonal(A: SymOperator) -> np.ndarray:
+    """diag(A^(-1)) for positive definite A, through cholesky().
+
+    LAPACK dpotri turns the factor into the inverse in place, so the
+    whole computation holds one n x n array.
+    """
+    inverse, info = lapack.dpotri(cholesky(A), overwrite_c=1)
+    if info > 0:
+        raise SingularOperator(f"factor has a zero pivot at {info}")
+    return inverse.diagonal().copy()
+
+
+def grounded_solve(
+    A: SymOperator,
+    rhs: np.ndarray,
+    rel_tol: float = 1e-10,
+    max_iter: int | None = None,
+) -> CGResult:
+    """Solve A x = rhs for a grounded (positive definite) energy operator.
+
+    CG first. If CG runs out of iterations on at most DENSE_CAP
+    unknowns, the system is solved again through cholesky(); that answer
+    is accepted only when its true residual meets rel_tol, otherwise the
+    original NoConvergence is raised. The result then carries the CG
+    iterations spent and the dense residual.
+    """
+    try:
+        return cg_solve(A, rhs, rel_tol=rel_tol, max_iter=max_iter)
+    except NoConvergence as failure:
+        if A.dimension > DENSE_CAP:
+            raise
+        try:
+            x, _ = lapack.dpotrs(cholesky(A), rhs)
+        except SingularOperator:
+            raise failure from None
+        residual = float(np.linalg.norm(rhs - A.apply(x)))
+        if not residual <= rel_tol * float(np.linalg.norm(rhs)):
+            raise
+        return CGResult(x=x, iterations=failure.iterations, residual=residual)
+
+
 def solve_rank_one(
     A: SymOperator,
     o: int,
@@ -144,12 +209,12 @@ def solve_rank_one(
     rel_tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> CGResult:
-    """Solve (A + e_o e_o^T) x = rhs by CG on the corrected operator."""
+    """Solve (A + e_o e_o^T) x = rhs by grounded_solve on the corrected operator."""
     n = A.dimension
     if not 0 <= o < n:
         raise InvalidParameter(f"pin vertex {o} out of range 0..{n - 1}")
     bump = sp.csr_matrix(([1.0], ([o], [o])), shape=(n, n))
-    return cg_solve(SymOperator(A.matrix + bump), rhs, rel_tol=rel_tol, max_iter=max_iter)
+    return grounded_solve(SymOperator(A.matrix + bump), rhs, rel_tol=rel_tol, max_iter=max_iter)
 
 
 @dataclass(frozen=True)
@@ -173,9 +238,13 @@ def dense_eigh(A: np.ndarray, M: np.ndarray) -> DenseEigh:
         raise InvalidParameter("shape mismatch between pencil parts")
     if np.any(M <= 0):
         raise InvalidParameter("mass diagonal must be strictly positive")
+    # scale, symmetrize and solve in one working copy; B is exactly
+    # symmetric, so its Fortran-order view B.T lets eigh overwrite it
     s = 1.0 / np.sqrt(M)
-    B = s[:, None] * A * s[None, :]
-    B = 0.5 * (B + B.T)
-    w, U = scipy.linalg.eigh(B)
-    V = s[:, None] * U
+    B = s[:, None] * A
+    B *= s[None, :]
+    B += B.T
+    B *= 0.5
+    w, V = scipy.linalg.eigh(B.T, overwrite_a=True)
+    V *= s[:, None]
     return DenseEigh(eigenvalues=w, eigenvectors=V)

@@ -36,7 +36,7 @@ from .errors import (
     SameVertex,
 )
 from .graph import ExhaustionGenerator, Section, VertexFn
-from .numerics import cg_solve, solve_rank_one
+from .numerics import DENSE_CAP, grounded_solve, inverse_diagonal, solve_rank_one
 
 MONOTONE_SLACK = 1e-10
 
@@ -53,7 +53,7 @@ def _extend(s: Section, free: np.ndarray, values: np.ndarray, rel_tol: float) ->
     """
     if len(free):
         rhs = s.adj[free].dot(values)
-        values[free] = cg_solve(energy_matrix(s, free), rhs, rel_tol=rel_tol).x
+        values[free] = grounded_solve(energy_matrix(s, free), rhs, rel_tol=rel_tol).x
 
 
 @dataclass(frozen=True)
@@ -85,18 +85,41 @@ def equilibrium_potential(s: Section, x, rel_tol: float = 1e-10) -> EquilibriumP
 
 
 def interior_capacities(s: Section, rel_tol: float = 1e-10, threads: int = 1) -> np.ndarray:
-    """Capacity of every interior vertex, aligned with s.interior."""
-    inter = s.interior
+    """Capacity of every interior vertex, aligned with s.interior.
 
-    def one(v: int) -> float:
+    Per interior component: an ungrounded one has capacity 0 throughout
+    (the degenerate case of equilibrium_potential). A grounded one with
+    at most DENSE_CAP vertices is read off a single factorization,
+    cap(x) = 1 / G(x, x) with G the inverse of its energy matrix (the
+    equilibrium potential is G e_x / G(x, x), whose energy is 1 / G(x, x)).
+    Larger grounded components fall back to one equilibrium_potential
+    per vertex; rel_tol and threads apply to those solves only.
+    """
+    inter = s.interior
+    caps = np.zeros(len(inter))
+    cids = s.interior_components[inter]
+    order = np.argsort(cids, kind="stable")
+    large = []
+    for pos in np.split(order, np.flatnonzero(np.diff(cids[order])) + 1):
+        comp = inter[pos]
+        if not s.component_grounded(comp):
+            continue
+        if len(comp) <= DENSE_CAP:
+            caps[pos] = 1.0 / inverse_diagonal(energy_matrix(s, comp))
+        else:
+            large.extend(pos.tolist())
+
+    def one(p: int) -> float:
         # pass the label: index_of resolves labels first, and int labels
         # (1d lattice coordinates) need not agree with raw indices
-        return equilibrium_potential(s, s.labels[int(v)], rel_tol=rel_tol).cap
+        return equilibrium_potential(s, s.labels[int(inter[p])], rel_tol=rel_tol).cap
 
-    if threads > 1 and len(inter) > 1:
+    if threads > 1 and len(large) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.array(list(pool.map(one, inter)))
-    return np.array([one(v) for v in inter])
+            caps[large] = list(pool.map(one, large))
+    else:
+        caps[large] = [one(p) for p in large]
+    return caps
 
 
 @dataclass(frozen=True)
@@ -110,6 +133,12 @@ class SupNormConstant:
 
 
 def sup_norm_constant(s: Section, rel_tol: float = 1e-10, threads: int = 1) -> SupNormConstant:
+    """C = (min cap)^(-1/2) over the interior, from interior_capacities.
+
+    Capacities come from one dense factorization per grounded interior
+    component up to DENSE_CAP vertices; threads acts only on the
+    per-vertex solves of larger components.
+    """
     caps = interior_capacities(s, rel_tol=rel_tol, threads=threads)
     if len(caps) == 0:
         raise InvalidParameter("section has no interior vertices")
@@ -338,7 +367,7 @@ def _dual_form(s: Section, support, xi: int, yi: int, rel_tol: float, pin=None) 
     if pin in pos:
         sol = solve_rank_one(A, pos[pin], chi, rel_tol=rel_tol)
     else:
-        sol = cg_solve(A, chi, rel_tol=rel_tol)
+        sol = grounded_solve(A, chi, rel_tol=rel_tol)
     return float(max(chi @ sol.x, 0.0))
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -224,3 +228,64 @@ def test_schema_inventory_covers_commands():
     ):
         assert cmd in names
         schema_for(cmd)  # parses
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--times", "nan"],
+        ["trace", "--times", "0.5,inf"],
+        ["spectrum", "--tol-solver", "-1"],
+        ["spectrum", "--tol-solver", "0"],
+        ["spectrum", "--tol-solver", "nan"],
+        ["spectrum", "--tol", "nan"],
+    ],
+    ids=["times-nan", "times-inf", "tol-solver-negative", "tol-solver-zero", "tol-solver-nan", "tol-nan"],
+)
+def test_non_finite_or_nonpositive_numbers_are_usage_errors(capsys, graph_file, argv):
+    code, out = run(capsys, *argv, "--graph", graph_file)
+    assert code == 2 and out == ""
+
+
+def test_non_finite_time_and_bound_are_usage_errors(capsys, graph_file, fn_file):
+    for value in ("nan", "inf"):
+        code, _ = run(capsys, "heat", "--graph", graph_file, "--t", value, "--fn", fn_file)
+        assert code == 2
+        code, _ = run(
+            capsys, "truncate-harmonic", "--graph", graph_file, "--fn", fn_file, "--bound", value
+        )
+        assert code == 2
+
+
+@pytest.mark.parametrize("spec", ["lattice:d=2.5,r=3", "lattice:d=2,r=3.0", "tree:k=3.5,depth=3"])
+def test_non_integer_generator_keys_are_usage_errors(capsys, spec):
+    code, out = run(capsys, "validate", "--generator", spec)
+    assert code == 2 and out == ""
+
+
+def test_non_finite_graph_file_exits_1(capsys, tmp_path):
+    path = tmp_path / "nan.graph"
+    path.write_text("V 2\nE 0 1 1.0\nC 0 nan\nD 1\n")
+    code, out = run(capsys, "cap", "--graph", str(path), "--vertex", "0")
+    assert code == 1
+    assert json.loads(out)["error"] == "GraphSyntaxError"
+
+
+@pytest.mark.parametrize("command", ["bounds", "validate"])
+def test_closed_stdout_exits_1_without_traceback(command):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "royden.cli", command, "--generator", "tree:k=3,depth=3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

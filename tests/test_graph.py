@@ -7,6 +7,7 @@ import royden as R
 from royden.errors import (
     DuplicateEdgeConflict,
     GraphSyntaxError,
+    InvalidParameter,
     NegativeWeight,
     NonPositiveMeasure,
     SelfLoop,
@@ -39,6 +40,41 @@ def test_build_rejects_bad_input():
         R.build_section(2, [(0, 1, 1.0)], m={0: 0.0})
     with pytest.raises(UnknownVertex):
         R.build_section(2, [(0, 5, 1.0)])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_inputs_rejected(bad):
+    with pytest.raises(InvalidParameter):
+        R.build_section(2, [(0, 1, bad)])
+    with pytest.raises(InvalidParameter):
+        R.build_section(2, [(0, 1, 1.0)], c={0: bad})
+    with pytest.raises(InvalidParameter):
+        R.build_section(2, [(0, 1, 1.0)], m=[1.0, bad])
+    with pytest.raises(InvalidParameter):
+        R.with_measure(R.build_section(2, [(0, 1, 1.0)]), {1: bad})
+    for record in (f"E 0 1 {bad}", f"C 0 {bad}", f"M 1 {bad}"):
+        with pytest.raises(GraphSyntaxError) as err:
+            R.parse_graph_file(f"V 2\nE 0 1 1.0\n{record}\n")
+        assert err.value.line == 3
+    if bad > 0:
+        with pytest.raises(InvalidParameter):
+            R.lattice_generator(2, c_origin=bad)
+    with pytest.raises(InvalidParameter):
+        R.tree_generator(3, c_const=bad)
+
+
+def test_validate_flags_non_finite_entries():
+    from dataclasses import replace
+
+    s = R.build_section(3, [(0, 1, 1.0), (1, 2, 1.0)], dirichlet=[2])
+    rep = replace(s, c=np.array([np.nan, 0.0, 0.0])).validate()
+    assert not rep.ok and "non-finite killing term" in rep.issues
+    rep = replace(s, m=np.array([1.0, np.inf, 1.0])).validate()
+    assert not rep.ok and "non-finite measure" in rep.issues
+    adj = s.adj.copy()
+    adj.data[:] = np.nan
+    rep = replace(s, adj=adj).validate()
+    assert not rep.ok and "non-finite edge weight stored" in rep.issues
 
 
 def test_duplicate_edge_same_weight_allowed():

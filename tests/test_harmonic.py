@@ -105,8 +105,9 @@ def test_truncation_rejects_nonharmonic(p3_both_masked):
         R.truncate_harmonic(p3_both_masked, p3_both_masked.fn([0.0, 9.0, 0.0]), 1.0)
     s = R.generate_lattice(1, 2)
     f = R.solve_dirichlet(s, {-2: 0.0, 2: 1.0})
-    with pytest.raises(InvalidParameter):
-        R.truncate_harmonic(s, f, -1.0)
+    for bound in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameter):
+            R.truncate_harmonic(s, f, bound)
 
 
 def test_harmonic_boundary_probe():

@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from royden.errors import DimensionCap, NoConvergence, SingularOperator
-from royden.numerics import SymOperator, cg_solve, dense_eigh, solve_rank_one
+from royden.errors import DimensionCap, InvalidParameter, NoConvergence, SingularOperator
+from royden.numerics import (
+    SymOperator,
+    cg_solve,
+    cholesky,
+    dense_eigh,
+    grounded_solve,
+    inverse_diagonal,
+    solve_rank_one,
+)
 
 
 def op(dense):
@@ -86,3 +94,56 @@ def test_dense_eigh_dimension_cap(monkeypatch):
     monkeypatch.setattr(numerics, "DENSE_CAP", 5)
     with pytest.raises(DimensionCap):
         dense_eigh(np.eye(10), np.ones(10))
+
+
+def test_inverse_diagonal_matches_dense_inverse():
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        n = int(rng.integers(1, 40))
+        B = rng.normal(size=(n, n))
+        A = B @ B.T + n * np.eye(n)
+        got = inverse_diagonal(op(A))
+        np.testing.assert_allclose(got, np.diag(np.linalg.inv(A)), rtol=1e-12)
+
+
+def test_cholesky_refuses_singular_and_non_finite(monkeypatch):
+    import royden.numerics as numerics
+
+    with pytest.raises(SingularOperator):
+        cholesky(op([[1.0, -1.0], [-1.0, 1.0]]))
+    with pytest.raises(InvalidParameter):
+        cholesky(op([[1.0, np.nan], [np.nan, 1.0]]))
+    monkeypatch.setattr(numerics, "DENSE_CAP", 5)
+    with pytest.raises(DimensionCap):
+        cholesky(op(np.eye(10)))
+
+
+def _hard_system():
+    rng = np.random.default_rng(11)
+    B = rng.normal(size=(30, 30))
+    return op(B @ B.T + 0.01 * np.eye(30)), rng.normal(size=30)
+
+
+def test_grounded_solve_dense_fallback_after_cg_budget():
+    A, rhs = _hard_system()
+    res = grounded_solve(A, rhs, rel_tol=1e-10, max_iter=2)
+    assert res.iterations == 2
+    assert res.residual <= 1e-10 * np.linalg.norm(rhs)
+    np.testing.assert_allclose(res.x, np.linalg.solve(A.dense(), rhs), rtol=1e-8)
+
+
+def test_grounded_solve_reraises_cg_failure(monkeypatch):
+    import royden.numerics as numerics
+
+    A, rhs = _hard_system()
+    # the dense answer cannot meet a tolerance below rounding
+    with pytest.raises(NoConvergence) as err:
+        grounded_solve(A, rhs, rel_tol=1e-300, max_iter=2)
+    assert err.value.iterations == 2
+    # an indefinite operator has no Cholesky factor
+    with pytest.raises(NoConvergence):
+        grounded_solve(op([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 0.0]), max_iter=1)
+    # above DENSE_CAP there is no dense retry
+    monkeypatch.setattr(numerics, "DENSE_CAP", 10)
+    with pytest.raises(NoConvergence):
+        grounded_solve(A, rhs, rel_tol=1e-10, max_iter=2)

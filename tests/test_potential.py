@@ -8,6 +8,7 @@ from royden.errors import (
     DisconnectedPair,
     InvalidParameter,
     MonotonicityViolation,
+    NoConvergence,
     SameVertex,
 )
 
@@ -306,3 +307,82 @@ def test_grounded_solve_routes_match_dense_oracle(case):
     for _ in range(8):
         got, expected = _route_case(case, rng)
         np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-10)
+
+
+def _edges_of(s):
+    coo = s.adj.tocoo()
+    up = coo.row < coo.col
+    return list(zip(coo.row[up].tolist(), coo.col[up].tolist(), coo.data[up].tolist()))
+
+
+def _weighted_path():
+    # weights 10^-3 .. 10^3 along a path with both ends masked
+    return R.build_section(8, [(i, i + 1, 10.0 ** (i - 3)) for i in range(7)], dirichlet=[0, 7])
+
+
+def _grounded_and_ungrounded():
+    # {0, 1, 2} reaches the mask at 3; {4, 5, 6} touches neither mask nor killing
+    edges = [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5), (4, 5, 1.0), (5, 6, 3.0)]
+    return R.build_section(7, edges, dirichlet=[3])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: R.generate_tree(3, 6),
+        lambda: R.generate_lattice(2, 8),
+        _weighted_path,
+        _grounded_and_ungrounded,
+    ],
+    ids=["tree-k3-depth6", "z2-r8", "weighted-path", "grounded-and-ungrounded"],
+)
+def test_interior_capacities_match_equilibrium_potentials(make):
+    s = make()
+    caps = R.interior_capacities(s)
+    per_vertex = np.array([R.equilibrium_potential(s, s.labels[int(v)]).cap for v in s.interior])
+    # atol=0: capacities on an ungrounded component must be exactly 0
+    np.testing.assert_allclose(caps, per_vertex, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_interior_capacities_above_dense_cap(monkeypatch, threads):
+    import royden.potential as potential
+
+    # the 9-vertex interior of Z^2 r=2 exceeds the cap, the 3-vertex
+    # grounded path stays dense, the ungrounded pair stays at 0
+    z = R.generate_lattice(2, 2)
+    edges = _edges_of(z) + [(25, 26, 1.0), (26, 27, 2.0), (27, 28, 1.0), (29, 30, 1.0)]
+    s = R.build_section(31, edges, dirichlet=list(z.mask) + [28])
+    monkeypatch.setattr(potential, "DENSE_CAP", 4)
+    caps = R.interior_capacities(s, threads=threads)
+    inter = s.interior
+    grounded = inter[inter < 29]
+    A = _dense_laplacian(s)[np.ix_(grounded, grounded)]
+    want = np.zeros(len(inter))
+    want[: len(grounded)] = 1.0 / np.diag(np.linalg.inv(A))
+    np.testing.assert_allclose(caps, want, rtol=1e-12, atol=0.0)
+
+
+def _wide_weight_section(seed):
+    """Z^2 r=20 with edge weights log-uniform over 10^-3..10^3."""
+    z = R.generate_lattice(2, 20)
+    rng = np.random.default_rng(seed)
+    edges = [(a, b, 10.0 ** rng.uniform(-3.0, 3.0)) for a, b, _ in _edges_of(z)]
+    return R.build_section(z.n, edges, dirichlet=z.mask, labels=z.labels)
+
+
+def test_wide_weight_capacity_matches_dense_inverse(monkeypatch):
+    import royden.numerics as numerics
+
+    s = _wide_weight_section(0)
+    inter = s.interior
+    G = np.linalg.inv(_dense_laplacian(s)[np.ix_(inter, inter)])
+    xi = int(np.searchsorted(inter, s.index_of((0, 0))))
+    # Jacobi-PCG runs out of iterations here; the dense retry answers
+    cap = R.equilibrium_potential(s, (0, 0)).cap
+    assert cap == pytest.approx(1.0 / G[xi, xi], rel=1e-8)
+    np.testing.assert_allclose(R.interior_capacities(s), 1.0 / np.diag(G), rtol=1e-8)
+    # without the dense retry the CG failure surfaces unchanged
+    monkeypatch.setattr(numerics, "DENSE_CAP", 100)
+    with pytest.raises(NoConvergence):
+        R.equilibrium_potential(s, (0, 0))
