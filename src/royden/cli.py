@@ -633,9 +633,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="parallel width of level sweeps, walker chunks and per-vertex capacity "
-        "solves; capacity solves run per vertex only on interior components "
-        f"above the dense size cap ({DENSE_CAP})",
+        help="parallel width of level sweeps, walker chunks, the window vertices "
+        "of each ut-report scan level and per-vertex capacity solves; capacity "
+        "solves run per vertex only on interior components above the dense size "
+        f"cap ({DENSE_CAP})",
     )
 
     def add(name, fn, help_, **extra):

@@ -15,6 +15,7 @@ across exhaustion levels.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -519,10 +520,9 @@ def _lattice_section(d: int, radius: int, c_origin: float, c_const: float) -> Se
     if c_origin:
         origin_idx = (n - 1) // 2
         c[origin_idx] += float(c_origin)
-    if d == 1:
-        labels = tuple(int(x) for x in coords[:, 0])
-    else:
-        labels = tuple(tuple(int(x) for x in row) for row in coords)
+    # mixed-radix order is the lexicographic order of the coordinates
+    axis = range(-radius, radius + 1)
+    labels = tuple(axis) if d == 1 else tuple(itertools.product(axis, repeat=d))
     return Section(adj=adj, c=c, m=np.ones(n), dirichlet=mask, labels=labels)
 
 
@@ -559,37 +559,44 @@ def generate_lattice(d: int, radius: int) -> Section:
 
 
 def _tree_section(degree: int, depth: int, c_origin: float, c_const: float) -> Section:
-    # vertex count: root + degree * ((degree-1)^depth - 1) / (degree - 2)
-    count = 1
-    width = degree
-    for _ in range(depth):
-        count += width
-        width *= degree - 1
-    _check_cap(count, f"tree degree={degree} depth={depth}")
+    # vertices in BFS order: the root, its `degree` children, then `degree - 1`
+    # children per vertex of each further depth
+    widths = [1] + [degree * (degree - 1) ** (lv - 1) for lv in range(1, depth + 1)]
+    n = sum(widths)
+    _check_cap(n, f"tree degree={degree} depth={depth}")
 
     labels = ["r"]
-    edges = []
-    prev = [(0, "r")]
-    next_id = 1
+    prev = labels
     for level in range(1, depth + 1):
-        cur = []
-        for parent_idx, parent_lab in prev:
-            n_children = degree if level == 1 else degree - 1
-            for k in range(n_children):
-                lab = f"{parent_lab}.{k}"
-                labels.append(lab)
-                edges.append((parent_idx, next_id, 1.0))
-                cur.append((next_id, lab))
-                next_id += 1
-        prev = cur
+        ks = range(degree if level == 1 else degree - 1)
+        prev = [f"{p}.{k}" for p in prev for k in ks]
+        labels += prev
 
-    n = next_id
-    mask = [i for i, _ in prev]  # depth-level leaves: adjacent to the rest of the tree
-    c = {0: c_origin} if c_origin else None
-    sec = build_section(n, edges, c=c, dirichlet=mask, labels=labels)
+    # parent of every non-root vertex: the root's children, then runs of
+    # degree - 1 siblings under vertices 1, 2, ...
+    parent = np.zeros(n - 1, dtype=np.int32)
+    parent[degree:] = 1 + np.arange(n - 1 - degree, dtype=np.int32) // (degree - 1)
+    deg = np.bincount(parent, minlength=n).astype(np.int32)
+    deg[1:] += 1
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(deg, out=indptr[1:])
+    # each row holds its parent first, then its children; children of
+    # consecutive rows are consecutive vertices
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    is_child = np.ones(len(indices), dtype=bool)
+    is_child[indptr[1:n]] = False
+    indices[indptr[1:n]] = parent
+    indices[is_child] = np.arange(1, n, dtype=np.int32)
+    adj = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+
+    mask = np.zeros(n, dtype=bool)
+    mask[n - widths[-1]:] = True  # depth-level leaves: adjacent to the rest of the tree
+    c = np.zeros(n)
+    if c_origin:
+        c[0] = float(c_origin)
     if c_const:
-        sec = replace(sec, c=sec.c + float(c_const))
-    return sec
+        c = c + float(c_const)
+    return Section(adj=adj, c=c, m=np.ones(n), dirichlet=mask, labels=tuple(labels))
 
 
 def tree_generator(degree: int, c_origin: float = 0.0, c_const: float = 0.0) -> ExhaustionGenerator:

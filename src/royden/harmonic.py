@@ -17,7 +17,7 @@ the solutions still oscillate near the origin as the boundary recedes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -186,15 +186,29 @@ def harmonic_boundary_empty(
     if levels is None:
         levels = default_profile_levels(gen)
     levels = tuple(int(v) for v in levels)
-    sums = tuple(gen.c_partial_sum(lv) for lv in levels)
+    # the classifier builds each level once; its killing-free builder
+    # records the killing term's partial sum on the way
+    c_sums = {}
+
+    def build(level: int) -> Section:
+        sec = gen._build(level)
+        c_sums[level] = float(np.sum(sec.c))
+        return replace(sec, c=np.zeros(sec.n))
+
+    zero_c = classify_transience(
+        replace(gen.with_zero_c(), _build=build),
+        None,
+        tol=tol,
+        levels=levels,
+        rel_tol=rel_tol,
+        threads=threads,
+    )
+    sums = tuple(c_sums[lv] for lv in levels)
     tails = tuple(b - a for a, b in zip(sums, sums[1:]))
     tail = tails[-1] if tails else 0.0
     c_converges = tail < tol
     c_diverges = tail > tol and (len(tails) < 2 or tails[-1] >= tails[-2] - tol)
 
-    zero_c = classify_transience(
-        gen.with_zero_c(), None, tol=tol, levels=levels, rel_tol=rel_tol, threads=threads
-    )
     if c_converges and zero_c.verdict == "recurrent":
         status = "empty"
     elif c_diverges or zero_c.verdict == "transient":

@@ -234,6 +234,39 @@ def default_profile_levels(gen: ExhaustionGenerator) -> tuple:
     raise InvalidParameter(f"no default levels for family {gen.family!r}; pass levels")
 
 
+def _check_monotone(levels, values) -> None:
+    for (la, va), (lb, vb) in zip(zip(levels, values), zip(levels[1:], values[1:])):
+        if vb > va + MONOTONE_SLACK:
+            raise MonotonicityViolation(
+                f"cap at level {lb} ({vb}) exceeds cap at level {la} ({va})"
+            )
+
+
+def _profile(gen: ExhaustionGenerator, x, levels: tuple, rel_tol: float, threads: int):
+    """capacity_profile, plus the section of levels[-1] it solved on.
+
+    Each level is built once; with threads=1 no earlier level is alive
+    while the next one builds.
+    """
+
+    def cap_at(level: int):
+        sec = gen.section(level)
+        cap = equilibrium_potential(sec, x, rel_tol=rel_tol).cap
+        return cap, (sec if level == levels[-1] else None)
+
+    if threads > 1 and len(levels) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(cap_at, levels))
+    else:
+        results = [cap_at(lev) for lev in levels]
+    values = tuple(cap for cap, _ in results)
+    _check_monotone(levels, values)
+    profile = CapacityProfile(
+        x=x, levels=levels, values=values, extrapolation=_fit_extrapolation(levels, values)
+    )
+    return profile, results[-1][1]
+
+
 def capacity_profile(
     gen: ExhaustionGenerator,
     x=None,
@@ -249,25 +282,7 @@ def capacity_profile(
     if x is None:
         x = gen.origin
     levels = _check_levels(levels if levels is not None else default_profile_levels(gen))
-
-    def cap_at(level: int) -> float:
-        sec = gen.section(level)
-        return equilibrium_potential(sec, x, rel_tol=rel_tol).cap
-
-    if threads > 1 and len(levels) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = tuple(pool.map(cap_at, levels))
-    else:
-        values = tuple(cap_at(lev) for lev in levels)
-
-    for (la, va), (lb, vb) in zip(zip(levels, values), zip(levels[1:], values[1:])):
-        if vb > va + MONOTONE_SLACK:
-            raise MonotonicityViolation(
-                f"cap at level {lb} ({vb}) exceeds cap at level {la} ({va})"
-            )
-    return CapacityProfile(
-        x=x, levels=levels, values=values, extrapolation=_fit_extrapolation(levels, values)
-    )
+    return _profile(gen, x, levels, rel_tol, threads)[0]
 
 
 @dataclass(frozen=True)
@@ -296,9 +311,7 @@ def classify_transience(
     if x is None:
         x = gen.origin
     levels = _check_levels(levels if levels is not None else default_profile_levels(gen))
-    profile = capacity_profile(gen, x, levels, rel_tol=rel_tol, threads=threads)
-
-    deepest = gen.section(levels[-1])
+    profile, deepest = _profile(gen, x, levels, rel_tol, threads)
     xi = deepest.index_of(x)
     comp = deepest.full_components == deepest.full_components[xi]
     if np.any(deepest.c[comp] > 0):
@@ -469,6 +482,18 @@ def default_gap_levels(gen: ExhaustionGenerator) -> tuple:
     return (2, 3, 4)
 
 
+def _caps(s: Section, xs, rel_tol: float, threads: int) -> list:
+    """cap(x) on s for every x in xs, threads of them at a time."""
+
+    def one(x) -> float:
+        return equilibrium_potential(s, x, rel_tol=rel_tol).cap
+
+    if threads > 1 and len(xs) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(one, xs))
+    return [one(x) for x in xs]
+
+
 def uniform_transience_report(
     gen: ExhaustionGenerator,
     window_level: int = 2,
@@ -487,19 +512,28 @@ def uniform_transience_report(
     delta * lambda0. A recurrent classification refutes uniform
     transience. Otherwise a finite window scan of per-vertex capacity
     estimates gives a heuristic answer only.
+
+    The window scan builds each of its three levels once and solves every
+    window vertex there; threads runs those per-vertex solves of one
+    level in parallel. The classifier profile runs its levels threads at
+    a time.
     """
     if window_level < 1:
         raise InvalidParameter("window level must be >= 1")
     window = gen.section(window_level)
     scan_levels = (window_level, 2 * window_level, 4 * window_level)
+    xs = [window.labels[v] for v in window.interior]
+    # the window serves the first scan level, and is released before the
+    # next one builds; each deeper level is built once for all of xs
+    columns = [_caps(window, xs, rel_tol, threads)]
+    del window
+    if xs:
+        columns += [_caps(gen.section(lev), xs, rel_tol, threads) for lev in scan_levels[1:]]
     estimates = []
-    for v in window.interior:
-        prof = capacity_profile(
-            gen, window.labels[v], scan_levels, rel_tol=rel_tol, threads=threads
-        )
-        ex = prof.extrapolation
-        est = ex.limit if ex.model == "plateau" else prof.values[-1]
-        estimates.append(est)
+    for values in zip(*columns):
+        _check_monotone(scan_levels, values)
+        ex = _fit_extrapolation(scan_levels, values)
+        estimates.append(ex.limit if ex.model == "plateau" else values[-1])
     window_inf = float(min(estimates)) if estimates else math.nan
 
     cls = classify_transience(
@@ -524,8 +558,9 @@ def uniform_transience_report(
         from .spectral import spectrum  # spectral imports this module
 
         glv = _check_levels(gap_levels if gap_levels is not None else default_gap_levels(gen))
-        lams = [float(spectrum(gen.section(lv), k=1).eigenvalues[0]) for lv in glv]
+        lams = [float(spectrum(gen.section(lv), k=1).eigenvalues[0]) for lv in glv[:-1]]
         deepest = gen.section(glv[-1])
+        lams.append(float(spectrum(deepest, k=1).eigenvalues[0]))
         delta = float(np.min(deepest.m[deepest.interior]))
         stabilized = (
             len(lams) >= 2

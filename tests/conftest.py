@@ -79,3 +79,29 @@ def random_fn(rng, s, vanish_on_mask=False):
     if vanish_on_mask:
         vals[s.mask] = 0.0
     return s.fn(vals)
+
+
+class CountingGenerator:
+    """Wraps a level -> Section rule as a custom generator and records
+    every level it builds, in order. `held` records, per build, how many
+    sections this generator built earlier are still alive."""
+
+    def __init__(self, build, origin, family="custom", transitive=False):
+        import weakref
+
+        from royden import custom_generator
+
+        self.levels = []
+        self.held = []
+        live = weakref.WeakSet()
+
+        def counted(level):
+            self.held.append(len(live))
+            self.levels.append(level)
+            sec = build(level)
+            live.add(sec)
+            return sec
+
+        self.gen = custom_generator(
+            counted, origin=origin, family=family, is_vertex_transitive=transitive
+        )

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,6 +130,57 @@ def test_tree_structure():
     for v in s.interior:
         if v != root:
             assert s.adj.getrow(v).nnz == 3  # parent + 2 children
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lattice_labels_are_coordinates(d):
+    radius = 2
+    side = 2 * radius + 1
+    s = R.lattice_generator(d).section(radius)
+
+    def coords(i):
+        # mixed radix, last axis fastest
+        return tuple(i // side ** (d - 1 - a) % side - radius for a in range(d))
+
+    want = tuple(coords(i)[0] if d == 1 else coords(i) for i in range(s.n))
+    assert s.labels == want
+    parts = s.labels if d == 1 else [x for lab in s.labels for x in lab]
+    assert all(type(x) is int for x in parts)
+
+
+def _tree_reference(degree, depth, c_origin, c_const):
+    """The tree section built edge by edge through build_section."""
+    labels, edges, prev = ["r"], [], [(0, "r")]
+    for level in range(1, depth + 1):
+        cur = []
+        for parent, plab in prev:
+            for k in range(degree if level == 1 else degree - 1):
+                cur.append((len(labels), f"{plab}.{k}"))
+                edges.append((parent, len(labels), 1.0))
+                labels.append(cur[-1][1])
+        prev = cur
+    c = {0: c_origin} if c_origin else None
+    sec = R.build_section(len(labels), edges, c=c, dirichlet=[i for i, _ in prev], labels=labels)
+    return replace(sec, c=sec.c + float(c_const)) if c_const else sec
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+@pytest.mark.parametrize("c_origin,c_const", [(0.0, 0.0), (1.5, 0.0), (0.0, 0.25), (2.0, 0.5)])
+def test_tree_section_matches_edge_reference(degree, c_origin, c_const):
+    gen = R.tree_generator(degree, c_origin=c_origin, c_const=c_const)
+    for depth in range(1, 9):
+        got, want = gen.section(depth), _tree_reference(degree, depth, c_origin, c_const)
+        for a, b in [
+            (got.adj.indptr, want.adj.indptr),
+            (got.adj.indices, want.adj.indices),
+            (got.adj.data, want.adj.data),
+            (got.c, want.c),
+            (got.m, want.m),
+            (got.dirichlet, want.dirichlet),
+        ]:
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        assert got.labels == want.labels
 
 
 def test_exhaust_nested_and_monotone():

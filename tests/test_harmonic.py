@@ -10,7 +10,7 @@ from royden.errors import (
 )
 from royden.harmonic import require_harmonic
 
-from conftest import random_fn, random_section
+from conftest import CountingGenerator, random_fn, random_section
 
 
 def test_dirichlet_path_oracle(path4):
@@ -118,6 +118,18 @@ def test_harmonic_boundary_probe():
     assert rep.status == "nonempty"
     rep = R.harmonic_boundary_empty(R.lattice_generator(1, c_const=0.5))
     assert rep.status == "nonempty"
+
+
+def test_harmonic_boundary_probe_builds_each_level_once():
+    gen = R.tree_generator(3, c_origin=1.0, c_const=0.01)
+    counted = CountingGenerator(gen.section, gen.origin)
+    rep = R.harmonic_boundary_empty(counted.gen, levels=(2, 3, 5))
+    assert counted.levels == [2, 3, 5]
+    assert counted.held == [0, 0, 0]
+    assert rep.c_partial_sums == tuple(gen.c_partial_sum(lv) for lv in (2, 3, 5))
+    assert rep.c_tails == tuple(b - a for a, b in zip(rep.c_partial_sums, rep.c_partial_sums[1:]))
+    ref = R.classify_transience(gen.with_zero_c(), levels=(2, 3, 5))
+    assert repr(rep.zero_c) == repr(ref)
 
 
 def test_liouville_trends():

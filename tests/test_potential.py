@@ -12,7 +12,7 @@ from royden.errors import (
     SameVertex,
 )
 
-from conftest import random_section
+from conftest import CountingGenerator, random_section
 
 
 def brute_cap(s, x):
@@ -191,6 +191,52 @@ def test_profile_monotonicity_guard():
     gen = R.custom_generator(build, origin=0, family="custom")
     with pytest.raises(MonotonicityViolation):
         R.capacity_profile(gen, levels=(1, 2, 3))
+
+
+def test_window_scan_monotonicity_guard():
+    gen = R.custom_generator(lambda level: R.build_section(1, [], c={0: float(level)}), origin=0)
+    with pytest.raises(MonotonicityViolation, match=r"cap at level 2 \(2.0\) exceeds cap at level 1 \(1.0\)"):
+        R.uniform_transience_report(gen, window_level=1, profile_levels=(1, 2, 3))
+
+
+def test_ut_report_builds_each_level_once_per_phase():
+    # transitive lattice-backed family: window scan, then the profile
+    lat = R.lattice_generator(3)
+    counted = CountingGenerator(lat.section, lat.origin, transitive=True)
+    rep = R.uniform_transience_report(counted.gen, window_level=2, profile_levels=(3, 4, 6, 8))
+    assert counted.levels == [2, 4, 8] + [3, 4, 6, 8]
+    assert counted.held == [0] * len(counted.levels)
+    ref = R.uniform_transience_report(
+        R.custom_generator(lat.section, lat.origin, is_vertex_transitive=True),
+        window_level=2,
+        profile_levels=(3, 4, 6, 8),
+    )
+    assert repr(rep) == repr(ref)
+    assert rep.evidence == "transitivity"
+
+    # tree-backed family: window scan, profile, then the gap scan
+    tree = R.tree_generator(3)
+    counted = CountingGenerator(tree.section, tree.origin)
+    rep = R.uniform_transience_report(
+        counted.gen, window_level=2, profile_levels=(3, 4, 5), gap_levels=(5, 6, 7)
+    )
+    assert counted.levels == [2, 4, 8] + [3, 4, 5] + [5, 6, 7]
+    assert counted.held == [0] * len(counted.levels)
+    assert rep.details["gap_levels"] == [5, 6, 7]
+
+
+def test_classify_builds_each_level_once():
+    gen = R.lattice_generator(2, c_origin=1.0)
+    counted = CountingGenerator(gen.section, gen.origin)
+    v = R.classify_transience(counted.gen, levels=(2, 4, 8))
+    assert counted.levels == [2, 4, 8]
+    assert counted.held == [0, 0, 0]
+    # the killing check reads the deepest profile section
+    assert v.verdict == "transient" and "killing" in v.reason
+    # with threads the levels may build side by side, still once each
+    counted = CountingGenerator(gen.section, gen.origin)
+    R.classify_transience(counted.gen, levels=(2, 4, 8), threads=2)
+    assert sorted(counted.levels) == [2, 4, 8]
 
 
 def _dense_laplacian(s):
