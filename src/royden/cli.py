@@ -59,7 +59,6 @@ from .graph import (
     serialize_vertex_fn,
     tree_generator,
 )
-from .numerics import DENSE_CAP
 
 
 class UsageError(Exception):
@@ -165,6 +164,14 @@ def positive_float(text: str) -> float:
     value = finite_float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
     return value
 
 
@@ -314,6 +321,7 @@ def cmd_cap_profile(args):
         gen,
         parse_label(args.vertex) if args.vertex else None,
         levels,
+        rel_tol=args.tol_solver,
         threads=args.threads,
     )
     rows, header = _profile_csv(prof)
@@ -328,6 +336,7 @@ def cmd_classify(args):
         parse_label(args.vertex) if args.vertex else None,
         tol=args.tol,
         levels=levels,
+        rel_tol=args.tol_solver,
         threads=args.threads,
     )
     emit(args, {
@@ -383,6 +392,7 @@ def cmd_ut_report(args):
         tol=args.tol,
         profile_levels=parse_levels(args.levels) if args.levels else None,
         gap_levels=parse_levels(args.gap_levels) if args.gap_levels else None,
+        rel_tol=args.tol_solver,
         threads=args.threads,
     )
     emit(args, {
@@ -448,6 +458,7 @@ def cmd_hbempty(args):
         gen,
         tol=args.tol,
         levels=parse_levels(args.levels) if args.levels else None,
+        rel_tol=args.tol_solver,
         threads=args.threads,
     )
     emit(args, {
@@ -479,11 +490,14 @@ def cmd_truncate_harmonic(args):
 
 def cmd_liouville(args):
     gen = need_generator(args)
-    rep = harmonic.liouville_probe(gen, parse_levels(args.levels), seed=args.seed)
+    rep = harmonic.liouville_probe(
+        gen, parse_levels(args.levels), seed=args.seed, rel_tol=args.tol_solver
+    )
     note = None
     if args.ut_window:
         ut = potential.uniform_transience_report(
-            gen, window_level=args.ut_window, tol=args.tol, threads=args.threads
+            gen, window_level=args.ut_window, tol=args.tol, threads=args.threads,
+            rel_tol=args.tol_solver,
         )
         note = harmonic.one_point_summary(rep, ut)
     emit(args, {
@@ -514,7 +528,7 @@ def cmd_bounds(args):
     enumeration = args.enumeration
     if enumeration != "measure-decreasing":
         enumeration = [parse_label(tok) for tok in enumeration.split(",")]
-    rep = spectral.eigenvalue_bounds_check(s, enumeration, threads=args.threads)
+    rep = spectral.eigenvalue_bounds_check(s, enumeration, rel_tol=args.tol_solver)
     rows = [(r.n, r.bound, r.eigenvalue, r.slack) for r in rep.rows]
     emit(args, {
         "command": "bounds",
@@ -544,7 +558,7 @@ def cmd_heat(args):
         if args.seed is None:
             raise UsageError("--check needs --seed")
         rep = spectral.ultracontractivity_check(
-            s, args.t, trials=args.trials, seed=args.seed
+            s, args.t, trials=args.trials, seed=args.seed, rel_tol=args.tol_solver
         )
         ultra = {
             "C": rep.C,
@@ -631,12 +645,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument(
         "--threads",
-        type=int,
+        type=positive_int,
         default=1,
-        help="parallel width of level sweeps, walker chunks, the window vertices "
-        "of each ut-report scan level and per-vertex capacity solves; capacity "
-        "solves run per vertex only on interior components above the dense size "
-        f"cap ({DENSE_CAP})",
+        help="parallel width (>= 1) of level sweeps, walker chunks and the window "
+        "vertices of each ut-report scan level",
     )
 
     def add(name, fn, help_, **extra):

@@ -177,34 +177,43 @@ class Section:
         comp[inter] = sub_comp
         return comp
 
-    def interior_component_of(self, v: int) -> np.ndarray:
-        """Interior vertex indices in the same interior component as v."""
-        cid = self.interior_components[v]
-        if cid < 0:
-            raise InvalidParameter(f"vertex {v} is masked")
-        return np.flatnonzero(self.interior_components == cid)
+    @cached_property
+    def interior_members(self) -> tuple:
+        """Interior vertex indices of each interior component, by component id.
 
-    def component_grounded(self, vertices: np.ndarray) -> bool:
-        """True if the given interior component touches the mask or carries
-        a nonzero killing term (the associated quadratic form is then
-        positive definite on it)."""
-        if np.any(self.c[vertices] > 0):
-            return True
-        if len(self.mask) == 0:
-            return False
-        sub = self.adj[vertices][:, self.mask]
-        return sub.nnz > 0
+        Entry cid holds the ascending indices of component cid; one stable
+        argsort of the component ids splits the whole interior.
+        """
+        inter = self.interior
+        if len(inter) == 0:
+            return ()
+        cids = self.interior_components[inter]
+        order = np.argsort(cids, kind="stable")
+        return tuple(np.split(inter[order], np.flatnonzero(np.diff(cids[order])) + 1))
+
+    @cached_property
+    def grounded(self) -> np.ndarray:
+        """One bool per interior component id: True when the component
+        touches the mask or carries a nonzero killing term (the quadratic
+        form is then positive definite on it).
+
+        Stored edge weights are positive, so a vertex touches the mask
+        exactly when its total weight into the mask is positive.
+        """
+        inter = self.interior
+        grounding = (self.adj @ self.dirichlet > 0) | (self.c > 0)
+        cids = self.interior_components[inter]
+        return np.bincount(cids, weights=grounding[inter], minlength=len(self.interior_members)) > 0
 
     def ensure_grounded(self) -> None:
         """Raise UngroundedComponent unless every interior component is
         grounded, i.e. the interior energy matrix is positive definite."""
-        icomp = self.interior_components
-        for cid in np.unique(icomp[self.interior]):
-            members = np.flatnonzero(icomp == cid)
-            if not self.component_grounded(members):
-                raise UngroundedComponent(
-                    f"interior component of size {len(members)} touches no mask and has no killing term"
-                )
+        bad = np.flatnonzero(~self.grounded)
+        if len(bad):
+            raise UngroundedComponent(
+                f"interior component of size {len(self.interior_members[bad[0]])} "
+                "touches no mask and has no killing term"
+            )
 
     def validate(self) -> "ValidationReport":
         """Check structural invariants and report the component layout."""
@@ -236,17 +245,12 @@ class Section:
         if len(self.dirichlet) != n:
             issues.append("dirichlet mask has wrong length")
 
-        comp_sizes = []
-        grounded = []
-        inter_comp = self.interior_components if not issues else np.zeros(0)
-        if not issues and len(self.interior):
-            for cid in range(inter_comp.max() + 1):
-                members = np.flatnonzero(inter_comp == cid)
-                comp_sizes.append(int(len(members)))
-                grounded.append(self.component_grounded(members))
+        comp_sizes = grounded = ()
         full_count = 0
-        if not issues and n:
-            full_count = int(self.full_components.max()) + 1
+        if not issues:
+            comp_sizes = tuple(len(members) for members in self.interior_members)
+            grounded = tuple(self.grounded.tolist())
+            full_count = int(self.full_components.max()) + 1 if n else 0
         return ValidationReport(
             ok=not issues,
             issues=tuple(issues),
@@ -255,8 +259,8 @@ class Section:
             interior_count=int(len(self.interior)),
             mask_count=int(len(self.mask)),
             full_component_count=full_count,
-            interior_component_sizes=tuple(comp_sizes),
-            interior_component_grounded=tuple(grounded),
+            interior_component_sizes=comp_sizes,
+            interior_component_grounded=grounded,
         )
 
 

@@ -36,7 +36,7 @@ from .errors import (
     SameVertex,
 )
 from .graph import ExhaustionGenerator, Section, VertexFn
-from .numerics import DENSE_CAP, grounded_solve, inverse_diagonal, solve_rank_one
+from .numerics import DENSE_CAP, SymOperator, grounded_solve, inverse_diagonal, solve_rank_one
 
 MONOTONE_SLACK = 1e-10
 
@@ -73,9 +73,10 @@ def equilibrium_potential(s: Section, x, rel_tol: float = 1e-10) -> EquilibriumP
     xi = s.index_of(x)
     if s.dirichlet[xi]:
         raise InvalidParameter(f"vertex {x!r} is masked; capacity needs an interior vertex")
-    comp = s.interior_component_of(xi)
+    cid = s.interior_components[xi]
+    comp = s.interior_members[cid]
     values = np.zeros(s.n)
-    if not s.component_grounded(comp):
+    if not s.grounded[cid]:
         values[comp] = 1.0
         return EquilibriumPotential(u=VertexFn(s, values), cap=0.0, degenerate=True)
     values[xi] = 1.0
@@ -97,28 +98,19 @@ def interior_capacities(s: Section, rel_tol: float = 1e-10, threads: int = 1) ->
     """
     inter = s.interior
     caps = np.zeros(len(inter))
-    cids = s.interior_components[inter]
-    order = np.argsort(cids, kind="stable")
+    A = energy_matrix(s, inter).matrix  # rows and columns follow inter
     large = []
-    for pos in np.split(order, np.flatnonzero(np.diff(cids[order])) + 1):
-        comp = inter[pos]
-        if not s.component_grounded(comp):
+    for cid, comp in enumerate(s.interior_members):
+        if not s.grounded[cid]:
             continue
+        pos = np.searchsorted(inter, comp)
         if len(comp) <= DENSE_CAP:
-            caps[pos] = 1.0 / inverse_diagonal(energy_matrix(s, comp))
+            caps[pos] = 1.0 / inverse_diagonal(SymOperator(A[pos][:, pos]))
         else:
             large.extend(pos.tolist())
-
-    def one(p: int) -> float:
-        # pass the label: index_of resolves labels first, and int labels
-        # (1d lattice coordinates) need not agree with raw indices
-        return equilibrium_potential(s, s.labels[int(inter[p])], rel_tol=rel_tol).cap
-
-    if threads > 1 and len(large) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            caps[large] = list(pool.map(one, large))
-    else:
-        caps[large] = [one(p) for p in large]
+    # pass labels: index_of resolves labels first, and int labels (1d
+    # lattice coordinates) need not agree with raw indices
+    caps[large] = _caps(s, [s.labels[int(inter[p])] for p in large], rel_tol, threads)
     return caps
 
 
@@ -132,14 +124,13 @@ class SupNormConstant:
     argmin_vertex: int
 
 
-def sup_norm_constant(s: Section, rel_tol: float = 1e-10, threads: int = 1) -> SupNormConstant:
+def sup_norm_constant(s: Section, rel_tol: float = 1e-10) -> SupNormConstant:
     """C = (min cap)^(-1/2) over the interior, from interior_capacities.
 
     Capacities come from one dense factorization per grounded interior
-    component up to DENSE_CAP vertices; threads acts only on the
-    per-vertex solves of larger components.
+    component up to DENSE_CAP vertices, and per vertex above it.
     """
-    caps = interior_capacities(s, rel_tol=rel_tol, threads=threads)
+    caps = interior_capacities(s, rel_tol=rel_tol)
     if len(caps) == 0:
         raise InvalidParameter("section has no interior vertices")
     k = int(np.argmin(caps))
@@ -358,9 +349,9 @@ class GammaValue:
 
 
 def _endpoint_support(s: Section, xi: int, yi: int) -> np.ndarray:
-    """Interior vertices on the interior components of the interior endpoints."""
-    icomp = s.interior_components
-    return np.flatnonzero(np.isin(icomp, [icomp[v] for v in (xi, yi) if not s.dirichlet[v]]))
+    """Interior vertices on the interior components of the interior endpoints, ascending."""
+    cids = {int(s.interior_components[v]) for v in (xi, yi) if not s.dirichlet[v]}
+    return np.sort(np.concatenate([s.interior_members[cid] for cid in cids]))
 
 
 def _dual_form(s: Section, support, xi: int, yi: int, rel_tol: float, pin=None) -> float:
@@ -403,9 +394,7 @@ def gamma(s: Section, x, y, rel_tol: float = 1e-10) -> GammaValue:
 
     icomp = s.interior_components
     support = _endpoint_support(s, xi, yi)
-    if all(
-        s.component_grounded(np.flatnonzero(icomp == cid)) for cid in np.unique(icomp[support])
-    ):
+    if s.grounded[icomp[support]].all():
         return GammaValue(float(np.sqrt(_dual_form(s, support, xi, yi, rel_tol))), "wired")
 
     if icomp[xi] == icomp[yi]:

@@ -30,7 +30,6 @@ from .errors import (
     EmptyInterior,
     InvalidParameter,
     NegativeTime,
-    UngroundedComponent,
 )
 from .graph import Section, VertexFn, check_bound
 from .numerics import DENSE_CAP, SymOperator, dense_eigh
@@ -158,7 +157,7 @@ class EigenvalueBoundsReport:
 
 
 def eigenvalue_bounds_check(
-    s: Section, enumeration="measure-decreasing", rel_tol: float = 1e-10, threads: int = 1
+    s: Section, enumeration="measure-decreasing", rel_tol: float = 1e-10
 ) -> EigenvalueBoundsReport:
     """Check 1/(C^2 m(X minus first n vertices)) <= lambda_(n+1) for all n.
 
@@ -173,7 +172,7 @@ def eigenvalue_bounds_check(
     masses = s.m[inter][order_pos]
     total = float(np.sum(s.m[inter]))
 
-    const = sup_norm_constant(s, rel_tol=rel_tol, threads=threads)
+    const = sup_norm_constant(s, rel_tol=rel_tol)
     C2 = const.C**2
 
     rows = []
@@ -336,12 +335,7 @@ def spectral_gap_criterion(s: Section, trials: int = 32, seed: int = 0) -> Spect
     """
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
-    try:
-        s.ensure_grounded()
-    except UngroundedComponent:
-        lam0 = 0.0
-    else:
-        lam0 = float(spectrum(s, k=1).eigenvalues[0])
+    lam0 = float(spectrum(s, k=1).eigenvalues[0]) if s.grounded.all() else 0.0
     inter = s.interior
     delta = float(np.min(s.m[inter]))
     scale = float(np.max(s.weighted_degree + s.c, initial=1.0))

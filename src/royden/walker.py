@@ -29,6 +29,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _STEP_LIMIT = 50_000_000
+_CHUNK = 65536  # trials per chunk, the unit of work a thread takes
 
 
 def _mix64(z):
@@ -117,7 +118,6 @@ def escape_probability(
     trials: int,
     seed: int,
     threads: int = 1,
-    chunk: int = 65536,
 ) -> WalkEstimate:
     """Estimate P(hit the mask before returning to o) for the b-walk from o.
 
@@ -142,7 +142,7 @@ def escape_probability(
 
     trans = _Transitions(s)
     mask = np.asarray(s.dirichlet, dtype=bool)
-    ranges = [(a, min(a + chunk, trials)) for a in range(0, trials, chunk)]
+    ranges = [(a, min(a + _CHUNK, trials)) for a in range(0, trials, _CHUNK)]
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(

@@ -289,3 +289,55 @@ def test_closed_stdout_exits_1_without_traceback(command):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "argv, entry_points",
+    [
+        (["cap-profile", "--generator", "lattice:d=1", "--levels", "2,4,8"],
+         ["potential.capacity_profile"]),
+        (["classify", "--generator", "lattice:d=1", "--levels", "2,4,8"],
+         ["potential.classify_transience"]),
+        (["ut-report", "--generator", "lattice:d=1", "--levels", "2,4,8", "--gap-levels", "2,3,4"],
+         ["potential.uniform_transience_report"]),
+        (["hbempty", "--generator", "lattice:d=1", "--levels", "2,4,8"],
+         ["harmonic.harmonic_boundary_empty"]),
+        (["liouville", "--generator", "lattice:d=1", "--levels", "2,3,4", "--seed", "1",
+          "--ut-window", "1"],
+         ["harmonic.liouville_probe", "potential.uniform_transience_report"]),
+        (["bounds", "--generator", "lattice:d=1,r=3"],
+         ["spectral.eigenvalue_bounds_check"]),
+        (["heat", "--graph", "{graph}", "--t", "0.5", "--fn", "{fn}", "--check", "--seed", "1"],
+         ["spectral.ultracontractivity_check"]),
+    ],
+    ids=["cap-profile", "classify", "ut-report", "hbempty", "liouville", "bounds", "heat-check"],
+)
+def test_tol_solver_reaches_every_solver_call(
+    capsys, monkeypatch, graph_file, fn_file, argv, entry_points
+):
+    import royden.cli as cli
+
+    seen = {}
+    for name in entry_points:
+        module_name, attr = name.split(".")
+        module = getattr(cli, module_name)
+
+        def record(*args, _real=getattr(module, attr), _name=name, **kwargs):
+            seen[_name] = kwargs.get("rel_tol")
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, record)
+    argv = [tok.format(graph=graph_file, fn=fn_file) for tok in argv]
+    code, out = run(capsys, *argv, "--tol-solver", "1e-7")
+    assert code == 0, out
+    assert seen == {name: 1e-7 for name in entry_points}
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_are_usage_errors(capsys, threads):
+    # argparse refuses the value before any command runs, so no thread starts
+    code, out = run(
+        capsys, "walk", "--generator", "lattice:d=1,r=3", "--vertex", "0",
+        "--trials", "10", "--seed", "1", "--threads", threads,
+    )
+    assert code == 2 and out == ""

@@ -432,3 +432,34 @@ def test_wide_weight_capacity_matches_dense_inverse(monkeypatch):
     monkeypatch.setattr(numerics, "DENSE_CAP", 100)
     with pytest.raises(NoConvergence):
         R.equilibrium_potential(s, (0, 0))
+
+
+def test_interior_capacities_assemble_one_energy_matrix(monkeypatch):
+    import royden.potential as potential
+
+    # 40 paths 3i - 3i+1 - 3i+2 with 3i+2 masked; every tenth left ungrounded
+    edges, mask = [], []
+    for i in range(40):
+        a = 3 * i
+        edges.append((a, a + 1, 1.0 + i))
+        if i % 10:
+            edges.append((a + 1, a + 2, 2.0))
+            mask.append(a + 2)
+    s = R.build_section(120, edges, dirichlet=mask)
+    calls = []
+    real = potential.energy_matrix
+
+    def counting(sec, subset):
+        calls.append(len(subset))
+        return real(sec, subset)
+
+    monkeypatch.setattr(potential, "energy_matrix", counting)
+    caps = R.interior_capacities(s)
+    assert calls == [len(s.interior)]
+    A = _dense_laplacian(s)
+    want = np.zeros(s.n)
+    for i in range(40):
+        if i % 10:
+            comp = [3 * i, 3 * i + 1]
+            want[comp] = 1.0 / np.diag(np.linalg.inv(A[np.ix_(comp, comp)]))
+    np.testing.assert_allclose(caps, want[s.interior], rtol=1e-12, atol=0.0)
