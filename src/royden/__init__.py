@@ -91,11 +91,9 @@ from .potential import (
 )
 from .spectral import (
     EigenvalueBoundsReport,
-    Pencil,
     SpectralGapReport,
     SpectralResult,
     UltracontractivityReport,
-    assemble_pencil,
     eigenvalue_bounds_check,
     heat_apply,
     heat_trace,

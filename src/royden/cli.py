@@ -46,7 +46,7 @@ import sys
 import numpy as np
 
 from . import harmonic, potential, spectral, walker
-from .errors import RoydenError
+from .errors import RoydenError, SizeOverflow
 from .graph import (
     ExhaustionGenerator,
     Section,
@@ -58,6 +58,7 @@ from .graph import (
     serialize_graph_file,
     serialize_vertex_fn,
     tree_generator,
+    vertex_cap,
 )
 
 
@@ -90,6 +91,7 @@ def parse_generator_spec(spec: str) -> tuple:
                 params[key] = float(value) if "." in value or "e" in value else int(value)
             except ValueError:
                 raise UsageError(f"bad generator value {piece!r}")
+    vertex_cap()  # a bad ROYDEN_VERTEX_CAP is a domain error, not a bad spec
     try:
         if family == "lattice":
             if "d" not in params:
@@ -111,6 +113,8 @@ def parse_generator_spec(spec: str) -> tuple:
             level = _int_param(params, "depth")
         else:
             raise UsageError(f"unknown generator family {family!r}")
+    except SizeOverflow:
+        raise  # a well-formed spec whose smallest section is too large
     except RoydenError as exc:
         raise UsageError(str(exc))
     if params:
@@ -121,11 +125,26 @@ def parse_generator_spec(spec: str) -> tuple:
     return gen, level
 
 
+def _check_level(level: int) -> None:
+    """Refuse a level above vertex_cap(): a lattice or tree section of
+    level L has more than L vertices, so no such level can be built.
+    """
+    cap = vertex_cap()
+    if level > cap:
+        raise SizeOverflow(f"levels above the vertex cap of {cap} cannot be built")
+
+
 def parse_levels(spec: str) -> tuple:
+    """Levels from "a:b" (doubling), "a:b:step" or "l1,l2,...".
+
+    The largest level is checked against the cap before any list is built.
+    """
     spec = spec.strip()
     try:
         if "," in spec:
-            return tuple(int(p) for p in spec.split(","))
+            levels = [int(p) for p in spec.split(",")]
+            _check_level(max(levels))
+            return tuple(levels)
         if ":" in spec:
             parts = [int(p) for p in spec.split(":")]
             if len(parts) == 2:
@@ -134,6 +153,7 @@ def parse_levels(spec: str) -> tuple:
                     raise UsageError("a doubling level range must start at >= 1")
                 out = []
                 while a <= b:
+                    _check_level(a)
                     out.append(a)
                     a *= 2
                 return tuple(out)
@@ -141,9 +161,13 @@ def parse_levels(spec: str) -> tuple:
                 a, b, step = parts
                 if step < 1:
                     raise UsageError("level step must be >= 1")
+                if a <= b:
+                    _check_level(b - (b - a) % step)
                 return tuple(range(a, b + 1, step))
             raise UsageError(f"bad level range {spec!r}")
-        return (int(spec),)
+        level = int(spec)
+        _check_level(level)
+        return (level,)
     except ValueError:
         raise UsageError(f"bad level list {spec!r}")
 
@@ -322,7 +346,6 @@ def cmd_cap_profile(args):
         parse_label(args.vertex) if args.vertex else None,
         levels,
         rel_tol=args.tol_solver,
-        threads=args.threads,
     )
     rows, header = _profile_csv(prof)
     emit(args, {"command": "cap-profile", **_profile_payload(prof)}, rows, header)
@@ -337,7 +360,6 @@ def cmd_classify(args):
         tol=args.tol,
         levels=levels,
         rel_tol=args.tol_solver,
-        threads=args.threads,
     )
     emit(args, {
         "command": "classify",
@@ -393,7 +415,6 @@ def cmd_ut_report(args):
         profile_levels=parse_levels(args.levels) if args.levels else None,
         gap_levels=parse_levels(args.gap_levels) if args.gap_levels else None,
         rel_tol=args.tol_solver,
-        threads=args.threads,
     )
     emit(args, {
         "command": "ut-report",
@@ -459,7 +480,6 @@ def cmd_hbempty(args):
         tol=args.tol,
         levels=parse_levels(args.levels) if args.levels else None,
         rel_tol=args.tol_solver,
-        threads=args.threads,
     )
     emit(args, {
         "command": "hbempty",
@@ -496,8 +516,7 @@ def cmd_liouville(args):
     note = None
     if args.ut_window:
         ut = potential.uniform_transience_report(
-            gen, window_level=args.ut_window, tol=args.tol, threads=args.threads,
-            rel_tol=args.tol_solver,
+            gen, window_level=args.ut_window, tol=args.tol, rel_tol=args.tol_solver
         )
         note = harmonic.one_point_summary(rep, ut)
     emit(args, {
@@ -643,13 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--tol-solver", type=positive_float, default=1e-10, help="linear solver relative tolerance"
     )
-    shared.add_argument(
-        "--threads",
-        type=positive_int,
-        default=1,
-        help="parallel width (>= 1) of level sweeps, walker chunks and the window "
-        "vertices of each ut-report scan level",
-    )
 
     def add(name, fn, help_, **extra):
         p = sub.add_parser(name, parents=[shared], help=help_, description=help_)
@@ -740,6 +752,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex", required=True)
     p.add_argument("--trials", required=True, type=int)
     p.add_argument("--seed", required=True, type=int)
+    p.add_argument(
+        "--threads",
+        type=positive_int,
+        default=1,
+        help="walker threads (>= 1); the estimate does not depend on it",
+    )
 
     return parser
 

@@ -61,9 +61,10 @@ def vertex_cap() -> int:
 
 
 def _check_cap(n: int, what: str) -> None:
+    # name the cap, not n: a huge n need not even convert to a string
     cap = vertex_cap()
     if n > cap:
-        raise SizeOverflow(f"{what} needs {n} vertices, above the cap of {cap}")
+        raise SizeOverflow(f"{what} needs more than the cap of {cap} vertices")
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +492,18 @@ def exhaust(gen: ExhaustionGenerator, n: int) -> Section:
     return gen.section(n)
 
 
+def _lattice_size(d: int, radius: int) -> int:
+    """(2 radius + 1)^d, one factor at a time, stopping once it passes the cap."""
+    n, what = 1, f"lattice d={d} radius={radius}"
+    for _ in range(d):
+        n *= 2 * radius + 1
+        _check_cap(n, what)
+    return n
+
+
 def _lattice_section(d: int, radius: int, c_origin: float, c_const: float) -> Section:
     side = 2 * radius + 1
-    n = side**d
-    _check_cap(n, f"lattice d={d} radius={radius}")
+    n = _lattice_size(d, radius)
 
     # coordinates in the box {-radius..radius}^d, index = mixed radix
     idx = np.arange(n)
@@ -547,6 +556,7 @@ def lattice_generator(d: int, c_origin: float = 0.0, c_const: float = 0.0) -> Ex
     if d < 1:
         raise InvalidParameter(f"lattice dimension must be >= 1, got {d}")
     _check_killing(c_origin, c_const)
+    _lattice_size(d, 1)  # before the d-tuple origin: no level fits when level 1 does not
     origin = 0 if d == 1 else tuple([0] * d)
     return ExhaustionGenerator(
         family="lattice",
@@ -565,9 +575,11 @@ def generate_lattice(d: int, radius: int) -> Section:
 def _tree_section(degree: int, depth: int, c_origin: float, c_const: float) -> Section:
     # vertices in BFS order: the root, its `degree` children, then `degree - 1`
     # children per vertex of each further depth
-    widths = [1] + [degree * (degree - 1) ** (lv - 1) for lv in range(1, depth + 1)]
+    widths, what = [1], f"tree degree={degree} depth={depth}"
+    for level in range(1, depth + 1):
+        widths.append(degree if level == 1 else widths[-1] * (degree - 1))
+        _check_cap(sum(widths), what)
     n = sum(widths)
-    _check_cap(n, f"tree degree={degree} depth={depth}")
 
     labels = ["r"]
     prev = labels

@@ -173,7 +173,6 @@ def harmonic_boundary_empty(
     tol: float = 1e-3,
     levels=None,
     rel_tol: float = 1e-10,
-    threads: int = 1,
 ) -> HarmonicBoundaryReport:
     """Probe whether every bounded harmonic behavior collapses to a point.
 
@@ -196,12 +195,7 @@ def harmonic_boundary_empty(
         return replace(sec, c=np.zeros(sec.n))
 
     zero_c = classify_transience(
-        replace(gen.with_zero_c(), _build=build),
-        None,
-        tol=tol,
-        levels=levels,
-        rel_tol=rel_tol,
-        threads=threads,
+        replace(gen.with_zero_c(), _build=build), None, tol=tol, levels=levels, rel_tol=rel_tol
     )
     sums = tuple(c_sums[lv] for lv in levels)
     tails = tuple(b - a for a, b in zip(sums, sums[1:]))

@@ -78,7 +78,9 @@ def cg_solve(
     Convergence means ||A x - rhs|| <= rel_tol * ||rhs|| in the Euclidean
     norm (checked on the true residual, not the recurrence). Raises
     NoConvergence past the iteration budget and SingularOperator on a
-    zero-curvature breakdown.
+    zero-curvature breakdown. The iteration runs on rhs scaled by a power
+    of two to a peak in [0.5, 1), which is exact, so tiny or huge data
+    cannot underflow or overflow in its inner products.
     """
     n = A.dimension
     rhs = np.asarray(rhs, dtype=float)
@@ -87,9 +89,12 @@ def cg_solve(
     if max_iter is None:
         max_iter = default_max_iter(n)
 
-    b_norm = float(np.linalg.norm(rhs))
-    if b_norm == 0.0:
+    peak = float(np.max(np.abs(rhs), initial=0.0))
+    if peak == 0.0:
         return CGResult(x=np.zeros(n), iterations=0, residual=0.0)
+    shift = math.frexp(peak)[1]
+    rhs = np.ldexp(rhs, -shift)
+    b_norm = float(np.linalg.norm(rhs))
     target = rel_tol * b_norm
 
     diag = A.diagonal()
@@ -113,7 +118,7 @@ def cg_solve(
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             if r_norm <= target:
-                return CGResult(x=x, iterations=it - 1, residual=r_norm)
+                return CGResult(np.ldexp(x, shift), it - 1, math.ldexp(r_norm, shift))
             raise SingularOperator(
                 f"curvature {pAp:g} along a search direction after {it - 1} iterations"
             )
@@ -126,7 +131,7 @@ def cg_solve(
             true_r = rhs - A.apply(x)
             true_norm = float(np.linalg.norm(true_r))
             if true_norm <= target:
-                return CGResult(x=x, iterations=it, residual=true_norm)
+                return CGResult(np.ldexp(x, shift), it, math.ldexp(true_norm, shift))
             r = true_r
             r_norm = true_norm
         z = inv_diag * r
@@ -135,6 +140,7 @@ def cg_solve(
         rz = rz_next
         p = z + beta * p
 
+    r_norm, target = math.ldexp(r_norm, shift), math.ldexp(target, shift)
     raise NoConvergence(
         f"no convergence within {max_iter} iterations (residual {r_norm:g}, target {target:g})",
         iterations=max_iter,

@@ -23,7 +23,6 @@ the ground).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +84,7 @@ def equilibrium_potential(s: Section, x, rel_tol: float = 1e-10) -> EquilibriumP
     return EquilibriumPotential(u=u, cap=energy(s, u).value, degenerate=False)
 
 
-def interior_capacities(s: Section, rel_tol: float = 1e-10, threads: int = 1) -> np.ndarray:
+def interior_capacities(s: Section, rel_tol: float = 1e-10) -> np.ndarray:
     """Capacity of every interior vertex, aligned with s.interior.
 
     Per interior component: an ungrounded one has capacity 0 throughout
@@ -94,7 +93,7 @@ def interior_capacities(s: Section, rel_tol: float = 1e-10, threads: int = 1) ->
     cap(x) = 1 / G(x, x) with G the inverse of its energy matrix (the
     equilibrium potential is G e_x / G(x, x), whose energy is 1 / G(x, x)).
     Larger grounded components fall back to one equilibrium_potential
-    per vertex; rel_tol and threads apply to those solves only.
+    per vertex; rel_tol applies to those solves only.
     """
     inter = s.interior
     caps = np.zeros(len(inter))
@@ -110,7 +109,7 @@ def interior_capacities(s: Section, rel_tol: float = 1e-10, threads: int = 1) ->
             large.extend(pos.tolist())
     # pass labels: index_of resolves labels first, and int labels (1d
     # lattice coordinates) need not agree with raw indices
-    caps[large] = _caps(s, [s.labels[int(inter[p])] for p in large], rel_tol, threads)
+    caps[large] = _caps(s, [s.labels[int(inter[p])] for p in large], rel_tol)
     return caps
 
 
@@ -233,29 +232,23 @@ def _check_monotone(levels, values) -> None:
             )
 
 
-def _profile(gen: ExhaustionGenerator, x, levels: tuple, rel_tol: float, threads: int):
+def _profile(gen: ExhaustionGenerator, x, levels: tuple, rel_tol: float):
     """capacity_profile, plus the section of levels[-1] it solved on.
 
-    Each level is built once; with threads=1 no earlier level is alive
-    while the next one builds.
+    Each level is built once, and no earlier level is alive while the
+    next one builds.
     """
-
-    def cap_at(level: int):
+    values = []
+    for level in levels:
+        sec = None  # release the previous level before building this one
         sec = gen.section(level)
-        cap = equilibrium_potential(sec, x, rel_tol=rel_tol).cap
-        return cap, (sec if level == levels[-1] else None)
-
-    if threads > 1 and len(levels) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(cap_at, levels))
-    else:
-        results = [cap_at(lev) for lev in levels]
-    values = tuple(cap for cap, _ in results)
+        values.append(equilibrium_potential(sec, x, rel_tol=rel_tol).cap)
+    values = tuple(values)
     _check_monotone(levels, values)
     profile = CapacityProfile(
         x=x, levels=levels, values=values, extrapolation=_fit_extrapolation(levels, values)
     )
-    return profile, results[-1][1]
+    return profile, sec
 
 
 def capacity_profile(
@@ -263,7 +256,6 @@ def capacity_profile(
     x=None,
     levels=None,
     rel_tol: float = 1e-10,
-    threads: int = 1,
 ) -> CapacityProfile:
     """cap(x) per level, with a plateau / log-decay extrapolation fit.
 
@@ -273,7 +265,7 @@ def capacity_profile(
     if x is None:
         x = gen.origin
     levels = _check_levels(levels if levels is not None else default_profile_levels(gen))
-    return _profile(gen, x, levels, rel_tol, threads)[0]
+    return _profile(gen, x, levels, rel_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -290,7 +282,6 @@ def classify_transience(
     tol: float = 1e-3,
     levels=None,
     rel_tol: float = 1e-10,
-    threads: int = 1,
 ) -> TransienceVerdict:
     """Transient / recurrent / inconclusive from the capacity profile.
 
@@ -302,7 +293,7 @@ def classify_transience(
     if x is None:
         x = gen.origin
     levels = _check_levels(levels if levels is not None else default_profile_levels(gen))
-    profile, deepest = _profile(gen, x, levels, rel_tol, threads)
+    profile, deepest = _profile(gen, x, levels, rel_tol)
     xi = deepest.index_of(x)
     comp = deepest.full_components == deepest.full_components[xi]
     if np.any(deepest.c[comp] > 0):
@@ -471,16 +462,9 @@ def default_gap_levels(gen: ExhaustionGenerator) -> tuple:
     return (2, 3, 4)
 
 
-def _caps(s: Section, xs, rel_tol: float, threads: int) -> list:
-    """cap(x) on s for every x in xs, threads of them at a time."""
-
-    def one(x) -> float:
-        return equilibrium_potential(s, x, rel_tol=rel_tol).cap
-
-    if threads > 1 and len(xs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, xs))
-    return [one(x) for x in xs]
+def _caps(s: Section, xs, rel_tol: float) -> list:
+    """cap(x) on s for every x in xs."""
+    return [equilibrium_potential(s, x, rel_tol=rel_tol).cap for x in xs]
 
 
 def uniform_transience_report(
@@ -490,7 +474,6 @@ def uniform_transience_report(
     profile_levels=None,
     gap_levels=None,
     rel_tol: float = 1e-10,
-    threads: int = 1,
 ) -> UTReport:
     """Decide whether the exhausted graph looks uniformly transient.
 
@@ -503,9 +486,7 @@ def uniform_transience_report(
     estimates gives a heuristic answer only.
 
     The window scan builds each of its three levels once and solves every
-    window vertex there; threads runs those per-vertex solves of one
-    level in parallel. The classifier profile runs its levels threads at
-    a time.
+    window vertex there.
     """
     if window_level < 1:
         raise InvalidParameter("window level must be >= 1")
@@ -514,10 +495,10 @@ def uniform_transience_report(
     xs = [window.labels[v] for v in window.interior]
     # the window serves the first scan level, and is released before the
     # next one builds; each deeper level is built once for all of xs
-    columns = [_caps(window, xs, rel_tol, threads)]
+    columns = [_caps(window, xs, rel_tol)]
     del window
     if xs:
-        columns += [_caps(gen.section(lev), xs, rel_tol, threads) for lev in scan_levels[1:]]
+        columns += [_caps(gen.section(lev), xs, rel_tol) for lev in scan_levels[1:]]
     estimates = []
     for values in zip(*columns):
         _check_monotone(scan_levels, values)
@@ -525,9 +506,7 @@ def uniform_transience_report(
         estimates.append(ex.limit if ex.model == "plateau" else values[-1])
     window_inf = float(min(estimates)) if estimates else math.nan
 
-    cls = classify_transience(
-        gen, None, tol=tol, levels=profile_levels, rel_tol=rel_tol, threads=threads
-    )
+    cls = classify_transience(gen, None, tol=tol, levels=profile_levels, rel_tol=rel_tol)
     details: dict = {
         "transience": cls.verdict,
         "transience_reason": cls.reason,

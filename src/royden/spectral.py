@@ -32,31 +32,10 @@ from .errors import (
     NegativeTime,
 )
 from .graph import Section, VertexFn, check_bound
-from .numerics import DENSE_CAP, SymOperator, dense_eigh
+from .numerics import DENSE_CAP, dense_eigh
 from .potential import sup_norm_constant
 
 DENSE_SHORTCUT = 512  # below this size the dense path beats Lanczos outright
-
-
-@dataclass(frozen=True)
-class Pencil:
-    operator: SymOperator
-    mass: np.ndarray  # diagonal of M, aligned with interior
-    interior: np.ndarray
-    section: Section
-
-
-def assemble_pencil(s: Section) -> Pencil:
-    """Interior energy matrix and mass diagonal of the section."""
-    inter = s.interior
-    if len(inter) == 0:
-        raise EmptyInterior("every vertex is masked")
-    return Pencil(
-        operator=energy_matrix(s, inter),
-        mass=s.m[inter].copy(),
-        interior=inter,
-        section=s,
-    )
 
 
 @dataclass(frozen=True)
@@ -85,9 +64,13 @@ def spectrum(s: Section, k: int | None = None) -> SpectralResult:
     finds them, which needs every interior component grounded (else
     UngroundedComponent).
     """
-    pencil = assemble_pencil(s)
-    ni = len(pencil.interior)
-    total = float(np.sum(pencil.mass))
+    inter = s.interior
+    ni = len(inter)
+    if ni == 0:
+        raise EmptyInterior("every vertex is masked")
+    A = energy_matrix(s, inter)
+    mass = s.m[inter]
+    total = float(np.sum(mass))
 
     if k is not None:
         if not 1 <= k <= ni:
@@ -95,14 +78,14 @@ def spectrum(s: Section, k: int | None = None) -> SpectralResult:
     dense_wanted = k is None or ni <= DENSE_SHORTCUT or k >= ni - 1
     if dense_wanted:
         if ni <= DENSE_CAP:
-            sol = dense_eigh(pencil.operator.dense(), pencil.mass)
+            sol = dense_eigh(A.dense(), mass)
             w, V = sol.eigenvalues, sol.eigenvectors
             if k is not None:
                 w, V = w[:k], V[:, :k]
             return SpectralResult(
                 eigenvalues=w,
                 eigenvectors=V,
-                interior=pencil.interior,
+                interior=inter,
                 section=s,
                 measure_total=total,
                 method="dense",
@@ -115,9 +98,9 @@ def spectrum(s: Section, k: int | None = None) -> SpectralResult:
     # deterministic start vector
     v0 = np.ones(ni) / math.sqrt(ni)
     w, V = eigsh(
-        pencil.operator.matrix,
+        A.matrix,
         k=k,
-        M=sp.diags(pencil.mass).tocsc(),
+        M=sp.diags(mass).tocsc(),
         sigma=0,
         which="LM",
         v0=v0,
@@ -126,7 +109,7 @@ def spectrum(s: Section, k: int | None = None) -> SpectralResult:
     return SpectralResult(
         eigenvalues=w[order],
         eigenvectors=V[:, order],
-        interior=pencil.interior,
+        interior=inter,
         section=s,
         measure_total=total,
         method="lanczos",

@@ -341,3 +341,71 @@ def test_threads_below_one_are_usage_errors(capsys, threads):
         "--trials", "10", "--seed", "1", "--threads", threads,
     )
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cap-profile", "--generator", "lattice:d=1", "--levels", "2,4,8"],
+        ["classify", "--generator", "lattice:d=1", "--levels", "2,4,8"],
+        ["ut-report", "--generator", "lattice:d=1"],
+        ["hbempty", "--generator", "lattice:d=1"],
+        ["liouville", "--generator", "lattice:d=1", "--levels", "2,3,4", "--seed", "1"],
+        ["bounds", "--generator", "lattice:d=1,r=3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_threads_is_a_walk_option_only(capsys, argv):
+    code, out = run(capsys, *argv, "--threads", "2")
+    assert code == 2 and out == ""
+
+
+def test_walk_threads_leave_stdout_unchanged(capsys):
+    # more trials than one walker chunk, so two threads share the work
+    argv = ["walk", "--generator", "lattice:d=3,r=3", "--vertex", "0,0,0",
+            "--trials", "70000", "--seed", "5"]
+    one = run(capsys, *argv, "--threads", "1")
+    two = run(capsys, *argv, "--threads", "2")
+    assert one[0] == 0 and two == one
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--generator", "tree:k=3,depth=50000"],
+        ["validate", "--generator", "tree:k=3,depth=400000"],
+        ["validate", "--generator", "lattice:d=10000,r=1"],
+        ["validate", "--generator", "lattice:d=100000000,r=1"],
+        ["cap-profile", "--generator", "lattice:d=2", "--levels", "1:1000000000000:1"],
+        ["cap-profile", "--generator", "lattice:d=2", "--levels", "1:1000000000000"],
+        ["classify", "--generator", "lattice:d=2", "--levels", "3,5,1000000000000"],
+        ["ut-report", "--generator", "tree:k=3", "--gap-levels", "10:1000000000000:2"],
+    ],
+    ids=["tree-depth-50000", "tree-depth-400000", "lattice-d-10000", "lattice-d-1e8",
+         "levels-arithmetic", "levels-doubling", "levels-list", "gap-levels"],
+)
+def test_oversized_specs_exit_1_with_size_overflow(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    payload = json.loads(captured.out)
+    jsonschema.validate(payload, schema_for("error"))
+    assert payload["error"] == "SizeOverflow"
+
+
+def test_level_lists_above_the_cap_are_refused_before_any_list():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        for spec in ("1:1000000000000:1", "1:1000000000000", "3,5,1000000000000", "1000000000000"):
+            with pytest.raises(R.SizeOverflow):
+                parse_levels(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # only the largest level counts, not the bound of the range
+    cap = R.vertex_cap()
+    assert parse_levels(f"1:{cap + 1}:{cap + 1}") == (1,)
+    assert parse_levels(f"{cap}:{2 * cap - 1}") == (cap,)

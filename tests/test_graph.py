@@ -91,6 +91,22 @@ def test_vertex_cap_env(monkeypatch):
     assert R.generate_lattice(2, 2).n == 25
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: R.tree_generator(3).section(400_000),
+        lambda: R.lattice_generator(10_000).section(1),
+        lambda: R.lattice_generator(100_000_000),
+    ],
+    ids=["tree-depth-400000", "lattice-d-10000", "lattice-d-1e8"],
+)
+def test_size_checks_stop_at_the_cap(build):
+    # the vertex count is never carried far past the cap, and the
+    # message names the cap instead of the count
+    with pytest.raises(SizeOverflow, match=f"needs more than the cap of {R.vertex_cap()} vertices$"):
+        build()
+
+
 def test_index_of_prefers_labels():
     s = R.generate_lattice(1, 3)  # labels are coordinates -3..3
     assert s.labels[s.index_of(0)] == 0

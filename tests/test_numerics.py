@@ -43,6 +43,19 @@ def test_cg_random_spd():
         np.testing.assert_allclose(A @ res.x, rhs, atol=1e-8 * max(1, np.abs(rhs).max()))
 
 
+@pytest.mark.parametrize("exponent", [-600, -540, 540, 600])
+def test_cg_scales_exactly_with_tiny_or_huge_data(exponent):
+    # at 2^-540 the inner products of an unscaled run underflow to zero,
+    # and at 2^540 they overflow; a power of two scales the answer exactly
+    A = op([[2.0, -1.0, 0.0], [-1.0, 3.0, -1.0], [0.0, -1.0, 2.5]])
+    rhs = np.array([1.0, -0.25, 0.5])
+    unit = cg_solve(A, rhs)
+    scaled = cg_solve(A, np.ldexp(rhs, exponent))
+    np.testing.assert_array_equal(scaled.x, np.ldexp(unit.x, exponent))
+    assert scaled.iterations == unit.iterations
+    assert scaled.residual == np.ldexp(unit.residual, exponent)
+
+
 def test_cg_detects_singular():
     # zero row with nonzero rhs cannot be solved
     A = op([[1.0, 0.0], [0.0, 0.0]])

@@ -233,10 +233,6 @@ def test_classify_builds_each_level_once():
     assert counted.held == [0, 0, 0]
     # the killing check reads the deepest profile section
     assert v.verdict == "transient" and "killing" in v.reason
-    # with threads the levels may build side by side, still once each
-    counted = CountingGenerator(gen.section, gen.origin)
-    R.classify_transience(counted.gen, levels=(2, 4, 8), threads=2)
-    assert sorted(counted.levels) == [2, 4, 8]
 
 
 def _dense_laplacian(s):
@@ -390,8 +386,7 @@ def test_interior_capacities_match_equilibrium_potentials(make):
     np.testing.assert_allclose(caps, per_vertex, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_interior_capacities_above_dense_cap(monkeypatch, threads):
+def test_interior_capacities_above_dense_cap(monkeypatch):
     import royden.potential as potential
 
     # the 9-vertex interior of Z^2 r=2 exceeds the cap, the 3-vertex
@@ -400,7 +395,7 @@ def test_interior_capacities_above_dense_cap(monkeypatch, threads):
     edges = _edges_of(z) + [(25, 26, 1.0), (26, 27, 2.0), (27, 28, 1.0), (29, 30, 1.0)]
     s = R.build_section(31, edges, dirichlet=list(z.mask) + [28])
     monkeypatch.setattr(potential, "DENSE_CAP", 4)
-    caps = R.interior_capacities(s, threads=threads)
+    caps = R.interior_capacities(s)
     inter = s.interior
     grounded = inter[inter < 29]
     A = _dense_laplacian(s)[np.ix_(grounded, grounded)]

@@ -1,14 +1,18 @@
-"""Property tests: interior components, their grounding and the capacities
-read from them, against brute-force references on random sections.
+"""Property tests: interior components, their grounding, and the
+capacities, metrics and Dirichlet solves built on them, against
+brute-force references and dense inverse or pseudo-inverse oracles on
+random sections.
 
 Sections have several interior components, some touching the mask, some
 carrying killing and some with neither; weights span 10^-3..10^3 and
 vertex indices are shuffled so components interleave.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import royden as R
@@ -79,6 +83,31 @@ def _reference_components(s):
     return found
 
 
+def _full_component(s, v):
+    """Vertices connected to v by the stored edges, the mask ignored, ascending."""
+    adj = s.adj
+    seen, stack = {v}, [v]
+    while stack:
+        u = stack.pop()
+        for w in adj.indices[adj.indptr[u]:adj.indptr[u + 1]].tolist():
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return sorted(seen)
+
+
+def _laplacian(s):
+    """Dense energy matrix on all vertices: weighted degree plus killing, minus weights."""
+    W = s.adj.toarray()
+    return np.diag(W.sum(axis=1) + s.c) - W
+
+
+def _dual(M, block, x, y):
+    """chi^T M chi with chi = e_x - e_y restricted to block (M indexed like block)."""
+    chi = (np.asarray(block) == x).astype(float) - (np.asarray(block) == y)
+    return float(chi @ M @ chi)
+
+
 def _by_component_id(s, found):
     """The reference components ordered by the section's component ids."""
     return sorted(found, key=lambda comp: s.interior_components[comp[0][0]])
@@ -120,8 +149,7 @@ def test_ensure_grounded_raises_exactly_on_an_ungrounded_component(s):
 @PROPERTY_SETTINGS
 @given(sections())
 def test_interior_capacities_match_dense_inverse(s):
-    W = s.adj.toarray()
-    A = np.diag(W.sum(axis=1) + s.c) - W
+    A = _laplacian(s)
     caps = R.interior_capacities(s)
     inter = s.interior
     for members, grounded in _reference_components(s):
@@ -131,3 +159,99 @@ def test_interior_capacities_match_dense_inverse(s):
             np.testing.assert_allclose(caps[pos], want, rtol=1e-8, atol=0.0)
         else:
             assert (caps[pos] == 0.0).all()
+
+
+def _two_vertices(s, data):
+    """x, then y != x from the full component of x (which must hold two vertices)."""
+    x = data.draw(st.integers(0, s.n - 1), label="x")
+    full = _full_component(s, x)
+    assume(len(full) >= 2)
+    y = data.draw(st.sampled_from([v for v in full if v != x]), label="y")
+    return x, y, full
+
+
+@PROPERTY_SETTINGS
+@given(sections(), st.data())
+def test_gamma_matches_dense_pseudo_inverse(s, data):
+    # any two vertices, not only connected ones: a pair across components
+    # is infinite unless both sit on grounded components
+    assume(s.n >= 2)
+    x, y = data.draw(st.lists(st.integers(0, s.n - 1), min_size=2, max_size=2, unique=True))
+    comps = [(members, grounded) for members, grounded in _reference_components(s)
+             if x in members or y in members]
+    got = R.gamma(s, x, y)
+    shared = len(comps) == 1 and x in comps[0][0] and y in comps[0][0]
+    if all(grounded for _, grounded in comps):
+        assert got.regime == "wired"
+    elif shared:
+        assert got.regime == "free-fallback"
+    else:
+        assert got.regime == "recurrent-section" and got.value == math.inf
+        return
+    block = sorted(v for members, _ in comps for v in members)
+    if not block:  # both endpoints masked: both sit at the ground
+        assert got.value == 0.0
+        return
+    # components are decoupled blocks of the interior energy matrix, and
+    # on a shared ungrounded one chi is orthogonal to the constants
+    want = math.sqrt(_dual(np.linalg.pinv(_laplacian(s)[np.ix_(block, block)]), block, x, y))
+    assert got.value == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+@PROPERTY_SETTINGS
+@given(sections(), st.data())
+def test_gamma_o_matches_dense_inverse(s, data):
+    x, y, full = _two_vertices(s, data)
+    found = _reference_components(s)
+    support = [v for members, _ in found if x in members or y in members for v in members]
+    # the pin lies on another interior component of the same connected
+    # component, on the mask, or inside the support of the metric; the
+    # rarest kind is listed first, since sampled_from leans toward it
+    pins = {
+        "outside": [v for v in full if v not in support and not s.dirichlet[v]],
+        "masked": [v for v in full if s.dirichlet[v]],
+        "inside": [v for v in full if v in support],
+    }
+    where = data.draw(st.sampled_from([k for k, vs in pins.items() if vs]), label="pin")
+    o = data.draw(st.sampled_from(pins[where]), label="o")
+    got = R.gamma_o(s, o, x, y)
+    block = sorted(set(support) | ({o} if not s.dirichlet[o] else set()))
+    if not block:
+        assert got == 0.0
+        return
+    # f(o)^2 joins the energy; a masked pin adds nothing since f(o) = 0
+    Q = _laplacian(s)[np.ix_(block, block)]
+    if not s.dirichlet[o]:
+        Q[block.index(o), block.index(o)] += 1.0
+    want = math.sqrt(_dual(np.linalg.inv(Q), block, x, y))
+    assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+@PROPERTY_SETTINGS
+@given(sections(), st.data())
+def test_free_resistance_matches_dense_pseudo_inverse(s, data):
+    x, y, full = _two_vertices(s, data)
+    # the mask is ignored; without killing the constants span the kernel
+    # and chi is orthogonal to them
+    want = _dual(np.linalg.pinv(_laplacian(s)[np.ix_(full, full)]), full, x, y)
+    assert R.free_resistance(s, x, y) == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+@PROPERTY_SETTINGS
+@given(sections(), st.data())
+def test_solve_dirichlet_matches_dense_inverse(s, data):
+    # tiny data are drawn on purpose; subnormals are not, since they carry
+    # too few bits for any 1e-8 relative check
+    values = st.floats(-1.0, 1.0, allow_subnormal=False)
+    g = {int(v): data.draw(values, label=f"g({v})") for v in s.mask}
+    if not all(grounded for _, grounded in _reference_components(s)):
+        with pytest.raises(UngroundedComponent):
+            R.solve_dirichlet(s, g)
+        return
+    f = R.solve_dirichlet(s, g).values
+    inter, mask = s.interior, s.mask
+    L = _laplacian(s)
+    want = np.zeros(s.n)
+    want[mask] = [g[int(v)] for v in mask]
+    want[inter] = np.linalg.inv(L[np.ix_(inter, inter)]) @ (-L[np.ix_(inter, mask)] @ want[mask])
+    np.testing.assert_allclose(f, want, rtol=0.0, atol=1e-8 * np.abs(want).max())

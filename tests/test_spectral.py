@@ -33,10 +33,11 @@ def test_spectrum_k_selection(path4):
         R.spectrum(path4, k=5)
 
 
-def test_assemble_pencil_empty_interior():
+def test_spectrum_empty_interior():
     s = R.build_section(2, [(0, 1, 1.0)], dirichlet=[0, 1])
-    with pytest.raises(EmptyInterior):
-        R.assemble_pencil(s)
+    for k in (None, 1):
+        with pytest.raises(EmptyInterior):
+            R.spectrum(s, k=k)
 
 
 def test_lanczos_agrees_with_dense():
