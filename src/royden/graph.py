@@ -60,6 +60,11 @@ def vertex_cap() -> int:
     return cap
 
 
+def _show(k: int) -> str:
+    # str() of an int longer than sys.get_int_max_str_digits() raises
+    return str(k) if abs(k) < 2**63 else f"<{int(k).bit_length()}-bit integer>"
+
+
 def _check_cap(n: int, what: str) -> None:
     # name the cap, not n: a huge n need not even convert to a string
     cap = vertex_cap()
@@ -494,7 +499,7 @@ def exhaust(gen: ExhaustionGenerator, n: int) -> Section:
 
 def _lattice_size(d: int, radius: int) -> int:
     """(2 radius + 1)^d, one factor at a time, stopping once it passes the cap."""
-    n, what = 1, f"lattice d={d} radius={radius}"
+    n, what = 1, f"lattice d={_show(d)} radius={_show(radius)}"
     for _ in range(d):
         n *= 2 * radius + 1
         _check_cap(n, what)
@@ -575,7 +580,7 @@ def generate_lattice(d: int, radius: int) -> Section:
 def _tree_section(degree: int, depth: int, c_origin: float, c_const: float) -> Section:
     # vertices in BFS order: the root, its `degree` children, then `degree - 1`
     # children per vertex of each further depth
-    widths, what = [1], f"tree degree={degree} depth={depth}"
+    widths, what = [1], f"tree degree={_show(degree)} depth={_show(depth)}"
     for level in range(1, depth + 1):
         widths.append(degree if level == 1 else widths[-1] * (degree - 1))
         _check_cap(sum(widths), what)

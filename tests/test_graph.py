@@ -97,12 +97,15 @@ def test_vertex_cap_env(monkeypatch):
         lambda: R.tree_generator(3).section(400_000),
         lambda: R.lattice_generator(10_000).section(1),
         lambda: R.lattice_generator(100_000_000),
+        lambda: R.tree_generator(10**5000).section(1),
+        lambda: R.lattice_generator(10**5000),
     ],
-    ids=["tree-depth-400000", "lattice-d-10000", "lattice-d-1e8"],
+    ids=["tree-depth-400000", "lattice-d-10000", "lattice-d-1e8", "tree-k-1e5000", "lattice-d-1e5000"],
 )
 def test_size_checks_stop_at_the_cap(build):
     # the vertex count is never carried far past the cap, and the
-    # message names the cap instead of the count
+    # message names the cap instead of the count; a parameter too long
+    # for str() is named by its bit length
     with pytest.raises(SizeOverflow, match=f"needs more than the cap of {R.vertex_cap()} vertices$"):
         build()
 

@@ -1,28 +1,35 @@
 """Property tests: interior components, their grounding, and the
-capacities, metrics and Dirichlet solves built on them, against
-brute-force references and dense inverse or pseudo-inverse oracles on
-random sections.
+capacities, metrics, Dirichlet solves and spectra built on them, against
+brute-force references and dense inverse, pseudo-inverse or generalized
+eigenvalue oracles on random sections; and the walker's alias tables
+against the transition probabilities b(v, y) / pi(v).
 
 Sections have several interior components, some touching the mask, some
-carrying killing and some with neither; weights span 10^-3..10^3 and
-vertex indices are shuffled so components interleave.
+carrying killing and some with neither; weights span 10^-3..10^3 (10^-6..
+10^6 for the alias tables) and vertex indices are shuffled so components
+interleave.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import royden as R
+from royden import spectral, walker
 from royden.errors import UngroundedComponent
 
 WEIGHT = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+WIDE_WEIGHT = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+MASS = st.floats(-1.0, 1.0).map(lambda e: 10.0**e)
 
 
 @st.composite
-def sections(draw):
+def sections(draw, weight=WEIGHT, masses=False):
     blocks = draw(
         st.lists(
             st.tuples(st.integers(1, 6), st.sampled_from(["mask", "killing", "none"])),
@@ -36,23 +43,24 @@ def sections(draw):
         base = n
         n += size
         for i in range(1, size):  # a random tree keeps the block connected
-            edges[(base + draw(st.integers(0, i - 1)), base + i)] = draw(WEIGHT)
+            edges[(base + draw(st.integers(0, i - 1)), base + i)] = draw(weight)
         for _ in range(draw(st.integers(0, size - 1))):  # extra edges close cycles
             a, b = sorted(draw(st.lists(st.integers(base, n - 1), min_size=2, max_size=2, unique=True)))
-            edges.setdefault((a, b), draw(WEIGHT))
+            edges.setdefault((a, b), draw(weight))
         if ground == "mask":
             # a new masked vertex, or the previous one shared with another block
             if not mask or draw(st.booleans()):
                 mask.append(n)
                 n += 1
-            edges[(base + draw(st.integers(0, size - 1)), mask[-1])] = draw(WEIGHT)
+            edges[(base + draw(st.integers(0, size - 1)), mask[-1])] = draw(weight)
         elif ground == "killing":
-            c[base + draw(st.integers(0, size - 1))] = draw(WEIGHT)
+            c[base + draw(st.integers(0, size - 1))] = draw(weight)
     perm = draw(st.permutations(range(n)))
     return R.build_section(
         n,
         [(perm[a], perm[b], w) for (a, b), w in edges.items()],
         c={perm[v]: x for v, x in c.items()},
+        m=draw(st.lists(MASS, min_size=n, max_size=n)) if masses else None,
         dirichlet=[perm[v] for v in mask],
     )
 
@@ -255,3 +263,53 @@ def test_solve_dirichlet_matches_dense_inverse(s, data):
     want[mask] = [g[int(v)] for v in mask]
     want[inter] = np.linalg.inv(L[np.ix_(inter, inter)]) @ (-L[np.ix_(inter, mask)] @ want[mask])
     np.testing.assert_allclose(f, want, rtol=0.0, atol=1e-8 * np.abs(want).max())
+
+
+@PROPERTY_SETTINGS
+@given(sections(weight=WIDE_WEIGHT))
+def test_alias_tables_rebuild_the_transition_probabilities(s):
+    deg = np.diff(s.adj.indptr)
+    # leaves and rows shorter than the widest one (padded) in every example
+    assume((deg == 1).any() and (deg < deg.max()).any())
+    trans = walker._Transitions(s)
+    assert ((trans.accept >= 0.0) & (trans.accept <= 1.0)).all()
+    W = s.adj.toarray()
+    for v in np.flatnonzero(deg):
+        slots = v * trans.maxdeg + np.arange(deg[v])
+        accept = trans.accept[slots]
+        P = np.zeros(s.n)
+        np.add.at(P, trans.nbr[slots], accept)
+        np.add.at(P, trans.alias[slots], 1.0 - accept)
+        np.testing.assert_allclose(P / deg[v], W[v] / W[v].sum(), rtol=0.0, atol=1e-12)
+
+
+def _pencil_eigenvalues(s):
+    """Dense generalized eigenvalues of (A, M) on the interior, ascending."""
+    inter = s.interior
+    A = _laplacian(s)[np.ix_(inter, inter)]
+    return scipy.linalg.eigh(A, np.diag(s.m[inter]), eigvals_only=True)
+
+
+@PROPERTY_SETTINGS
+@given(sections(masses=True))
+def test_dense_spectrum_matches_generalized_eigh(s):
+    assume(len(s.interior) >= 1)
+    want = _pencil_eigenvalues(s)
+    atol = 1e-8 * np.abs(want).max()
+    np.testing.assert_allclose(R.spectrum(s).eigenvalues, want, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(R.spectrum(s, k=1).eigenvalues, want[:1], rtol=0.0, atol=atol)
+
+
+@PROPERTY_SETTINGS
+@given(sections(masses=True), st.data())
+def test_lanczos_spectrum_matches_generalized_eigh(s, data):
+    # Lanczos runs when k < interior size - 1 and the interior is above
+    # DENSE_SHORTCUT; shift-invert at 0 needs every component grounded
+    ni = len(s.interior)
+    assume(ni >= 3 and all(grounded for _, grounded in _reference_components(s)))
+    k = data.draw(st.integers(1, ni - 2), label="k")
+    want = _pencil_eigenvalues(s)
+    with mock.patch.object(spectral, "DENSE_SHORTCUT", 0):
+        got = R.spectrum(s, k=k)
+    assert got.method == "lanczos"
+    np.testing.assert_allclose(got.eigenvalues, want[:k], rtol=0.0, atol=1e-8 * np.abs(want).max())

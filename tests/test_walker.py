@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 import royden as R
-from royden.errors import InvalidParameter, KillingUnsupported, UnmaskedSection
+from royden import walker
+from royden.cli import main
+from royden.errors import InvalidParameter, KillingUnsupported, RoydenError, UnmaskedSection
 
 from conftest import random_section
 
@@ -72,3 +76,45 @@ def test_random_fixture_capacity_match():
         cap = R.equilibrium_potential(s, o).cap
         pi = float(s.weighted_degree[oi])
         assert pi * est.estimate == pytest.approx(cap, abs=3.5 * pi * max(est.stderr, 1e-5))
+
+
+def test_equal_weight_counts_are_pinned():
+    # recorded with the cumulative-sum draw that preceded the alias
+    # tables: on unit weights floor(u * deg) picks the same neighbor
+    s = R.generate_lattice(3, 8)
+    got = [R.escape_probability(s, (0, 0, 0), trials=20_000, seed=k).successes for k in (1, 2, 3)]
+    assert got == [13576, 13777, 13698]
+
+
+@pytest.mark.parametrize("deg", range(1, 65))
+def test_largest_uniform_lands_on_a_real_slot(deg):
+    # the hub has deg leaves and sets maxdeg, so a column of deg would
+    # read the next row; u = 1 - 2^-53 is the largest uniform drawn
+    s = R.build_section(deg + 1, [(0, v, 1.0) for v in range(1, deg + 1)], dirichlet=[1])
+    trans = walker._Transitions(s)
+    hub = np.zeros(2, dtype=np.int64)
+    nxt = trans.step(hub, np.array([0.0, 1.0 - 2.0**-53]))
+    assert nxt.tolist() == [1, deg]
+
+
+def _weight_trap():
+    # a walker at 3 bounces across the 1e9 edge for about 2e9 steps
+    # before it leaves, far beyond any step limit
+    return R.build_section(5, [(0, 1, 1), (1, 2, 1), (1, 3, 1), (3, 4, 1e9)], dirichlet=[2])
+
+
+def test_weight_trap_hits_the_step_limit(monkeypatch):
+    monkeypatch.setattr(walker, "_STEP_LIMIT", 10**4)
+    with pytest.raises(RoydenError, match="within 10000 steps"):
+        R.escape_probability(_weight_trap(), 0, trials=1000, seed=0)
+
+
+def test_weight_trap_exits_1_from_the_cli(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(walker, "_STEP_LIMIT", 10**4)
+    path = tmp_path / "trap.graph"
+    path.write_text(R.serialize_graph_file(_weight_trap()))
+    code = main(["walk", "--graph", str(path), "--vertex", "0", "--trials", "1000", "--seed", "0"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert json.loads(out)["error"] == "RoydenError"
+    assert "Traceback" not in out + err
