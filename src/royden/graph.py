@@ -60,11 +60,6 @@ def vertex_cap() -> int:
     return cap
 
 
-def _show(k: int) -> str:
-    # str() of an int longer than sys.get_int_max_str_digits() raises
-    return str(k) if abs(k) < 2**63 else f"<{int(k).bit_length()}-bit integer>"
-
-
 def _check_cap(n: int, what: str) -> None:
     # name the cap, not n: a huge n need not even convert to a string
     cap = vertex_cap()
@@ -499,10 +494,10 @@ def exhaust(gen: ExhaustionGenerator, n: int) -> Section:
 
 def _lattice_size(d: int, radius: int) -> int:
     """(2 radius + 1)^d, one factor at a time, stopping once it passes the cap."""
-    n, what = 1, f"lattice d={_show(d)} radius={_show(radius)}"
+    n = 1
     for _ in range(d):
         n *= 2 * radius + 1
-        _check_cap(n, what)
+        _check_cap(n, "lattice")
     return n
 
 
@@ -580,10 +575,10 @@ def generate_lattice(d: int, radius: int) -> Section:
 def _tree_section(degree: int, depth: int, c_origin: float, c_const: float) -> Section:
     # vertices in BFS order: the root, its `degree` children, then `degree - 1`
     # children per vertex of each further depth
-    widths, what = [1], f"tree degree={_show(degree)} depth={_show(depth)}"
+    widths = [1]
     for level in range(1, depth + 1):
         widths.append(degree if level == 1 else widths[-1] * (degree - 1))
-        _check_cap(sum(widths), what)
+        _check_cap(sum(widths), "tree")
     n = sum(widths)
 
     labels = ["r"]

@@ -21,11 +21,18 @@ is a hash of (seed, i, k). Trials therefore own disjoint streams and the
 estimate is a pure function of (section, o, trials, seed), bit-identical
 under any chunking or thread count.
 
-A walk still running after _STEP_LIMIT steps raises RoydenError. A
-weight trap, an edge far heavier than every edge around it, holds a
-trial for about its weight ratio in steps, while every trial of the
-million-trial walk with seed 20 from the origin of the Z^3 box of
-radius 20 ends within 4,937.
+Once at most _TAIL trials are live, or after _LONG steps, each live
+trial is walked on to its end alone, in python scalars on the same
+uniforms, where a step costs a fraction of a microsecond instead of the
+tens that a vectorised step costs at any width.
+
+A trial still walking after _STEP_LIMIT steps raises RoydenError. The
+limit only bounds the time a walk may take. A weight trap, an edge far
+heavier than every edge around it, holds a trial for about its weight
+ratio in steps, and the walk fails once that trial, walked alone,
+reaches the limit. A gambler's-ruin trial in a one-dimensional box of
+radius r needs about r^2 steps, a few million at r = 2000, well inside
+the limit.
 """
 
 from __future__ import annotations
@@ -41,8 +48,10 @@ from .graph import Section
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_STEP_LIMIT = 1_000_000
+_STEP_LIMIT = 50_000_000
 _CHUNK = 65536  # trials per chunk, the unit of work a thread takes
+_TAIL = 64  # live trials at or below which each is finished on its own
+_LONG = 1 << 18  # steps after which every live trial is finished on its own
 
 
 def _mix64(z):
@@ -63,6 +72,13 @@ def _uniforms(keys: np.ndarray, step: int) -> np.ndarray:
     offset = np.uint64((int(_GOLDEN) * (step + 1)) & 0xFFFFFFFFFFFFFFFF)
     u64 = _mix64(keys + offset)
     return (u64 >> np.uint64(11)) * 2.0**-53
+
+
+def _trial_uniforms(key: np.uint64, start: int, stop: int) -> list[float]:
+    # the uniforms _uniforms gives one trial at steps start .. stop - 1;
+    # uint64 array arithmetic wraps silently
+    offsets = _GOLDEN * (np.arange(start, stop, dtype=np.uint64) + np.uint64(1))
+    return ((_mix64(key + offsets) >> np.uint64(11)) * 2.0**-53).tolist()
 
 
 @dataclass(frozen=True)
@@ -140,6 +156,29 @@ class _Transitions:
         return nxt
 
 
+def _finish(trans: _Transitions, mask: np.ndarray, o: int, v: int, key: np.uint64, step: int) -> int:
+    """Walk one trial on from vertex v after step steps; 1 if it escapes.
+
+    The same draw as _Transitions.step in python scalars, on the same
+    uniforms, in blocks of steps that double up to _CHUNK.
+    """
+    deg, nbr, accept, alias = map(memoryview, (trans.deg, trans.nbr, trans.accept, trans.alias))
+    hit, maxdeg, block = memoryview(mask), trans.maxdeg, 64
+    while step < _STEP_LIMIT:
+        stop = min(step + block, _STEP_LIMIT)
+        for u in _trial_uniforms(key, step, stop):
+            x = u * deg[v]
+            col = int(x)
+            slot = v * maxdeg + col
+            v = nbr[slot] if x - col < accept[slot] else alias[slot]
+            if hit[v]:
+                return 1
+            if v == o:
+                return 0
+        step, block = stop, min(2 * block, _CHUNK)
+    raise RoydenError(f"walk failed to absorb within {_STEP_LIMIT} steps")
+
+
 def _run_chunk(
     trans: _Transitions,
     mask: np.ndarray,
@@ -153,7 +192,11 @@ def _run_chunk(
     pos = np.full(len(ids), o, dtype=np.int64)
     successes = 0
     step = 0
-    while len(pos):
+    # a numpy step costs tens of microseconds however few trials are live,
+    # as much as a hundred python steps; past _LONG steps the live trials
+    # are a slow tail or held by a weight trap, and a trapped trial walked
+    # on its own reaches _STEP_LIMIT in seconds rather than hours
+    while len(pos) > _TAIL and step < _LONG:
         pos = trans.step(pos, _uniforms(keys, step))
         hit = mask[pos]
         successes += int(np.count_nonzero(hit))
@@ -163,7 +206,7 @@ def _run_chunk(
         step += 1
         if step > _STEP_LIMIT:
             raise RoydenError(f"walk failed to absorb within {_STEP_LIMIT} steps")
-    return successes
+    return successes + sum(_finish(trans, mask, o, v, k, step) for v, k in zip(pos.tolist(), keys))
 
 
 def escape_probability(

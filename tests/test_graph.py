@@ -104,8 +104,8 @@ def test_vertex_cap_env(monkeypatch):
 )
 def test_size_checks_stop_at_the_cap(build):
     # the vertex count is never carried far past the cap, and the
-    # message names the cap instead of the count; a parameter too long
-    # for str() is named by its bit length
+    # message names the cap and the family, never a count or a parameter
+    # that may be too long for str()
     with pytest.raises(SizeOverflow, match=f"needs more than the cap of {R.vertex_cap()} vertices$"):
         build()
 

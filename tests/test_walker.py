@@ -78,6 +78,36 @@ def test_random_fixture_capacity_match():
         assert pi * est.estimate == pytest.approx(cap, abs=3.5 * pi * max(est.stderr, 1e-5))
 
 
+@pytest.mark.parametrize(
+    "section, o",
+    [
+        (R.generate_lattice(3, 8), (0, 0, 0)),
+        (R.build_section(3, [(0, 1, 3.0), (1, 2, 1.0)], dirichlet=[2]), 0),
+        (random_section(np.random.default_rng(40), n_max=20), None),
+    ],
+    ids=["z3-r8", "weighted-p3", "random-weighted"],
+)
+def test_python_steps_match_numpy_steps(monkeypatch, section, o):
+    # trials finished one at a time in python scalars read the same
+    # uniforms and make the same draws as the vectorised step
+    o = section.labels[int(section.interior[0])] if o is None else o
+
+    def successes(tail, long):
+        monkeypatch.setattr(walker, "_TAIL", tail)
+        monkeypatch.setattr(walker, "_LONG", long)
+        return R.escape_probability(section, o, trials=5000, seed=4).successes
+
+    assert successes(0, walker._STEP_LIMIT) == successes(walker._TAIL, 0) == successes(100, 3)
+
+
+def test_long_one_dimensional_walk_completes():
+    # a trial from 1 that reaches 2000 before 0 is a gambler's ruin walk
+    # of about 2000^2 steps: three trials of seed 1 take over 10^6 steps,
+    # the longest 2,788,438, and none may count as stuck
+    est = R.escape_probability(R.generate_lattice(1, 2000), 0, trials=10_000, seed=1)
+    assert est.successes == 7
+
+
 def test_equal_weight_counts_are_pinned():
     # recorded with the cumulative-sum draw that preceded the alias
     # tables: on unit weights floor(u * deg) picks the same neighbor
@@ -103,10 +133,26 @@ def _weight_trap():
     return R.build_section(5, [(0, 1, 1), (1, 2, 1), (1, 3, 1), (3, 4, 1e9)], dirichlet=[2])
 
 
-def test_weight_trap_hits_the_step_limit(monkeypatch):
+@pytest.mark.parametrize("trials", [10, 1000])
+def test_weight_trap_hits_the_step_limit(monkeypatch, trials):
+    # about a third of the trials are trapped: 1000 trials leave the
+    # vectorised step at the limit, 10 are walked one at a time
     monkeypatch.setattr(walker, "_STEP_LIMIT", 10**4)
     with pytest.raises(RoydenError, match="within 10000 steps"):
+        R.escape_probability(_weight_trap(), 0, trials=trials, seed=0)
+
+
+def test_trapped_trials_are_walked_alone_after_long_steps(monkeypatch):
+    # the vectorised step would carry every trapped trial to the limit at
+    # once, at tens of microseconds a step
+    monkeypatch.setattr(walker, "_STEP_LIMIT", 10**4)
+    monkeypatch.setattr(walker, "_LONG", 100)
+    alone = []
+    finish = walker._finish
+    monkeypatch.setattr(walker, "_finish", lambda *args: alone.append(args[5]) or finish(*args))
+    with pytest.raises(RoydenError, match="within 10000 steps"):
         R.escape_probability(_weight_trap(), 0, trials=1000, seed=0)
+    assert alone and set(alone) == {100}
 
 
 def test_weight_trap_exits_1_from_the_cli(monkeypatch, capsys, tmp_path):
