@@ -24,15 +24,18 @@ Every public library operation is reachable from exactly one subcommand:
     gapcheck            spectral gap criterion
     walk                random-walk escape probability
 
-Graph sources: exactly one of --graph FILE or --generator SPEC, where
-SPEC is family:key=value,... e.g. lattice:d=3,r=8 or tree:k=3,depth=5
-(lattice keys: d, r, c0, c; tree keys: k, depth, c0, c). Commands that
-scan exhaustions require --generator. Level lists are "8:128" (doubling),
-"4:20:2" (arithmetic) or "3,5,9" (explicit).
+Each command takes only the options it reads. A section command takes
+exactly one of --graph FILE or --generator SPEC, where SPEC is
+family:key=value,... with a level, e.g. lattice:d=3,r=8 or
+tree:k=3,depth=5 (lattice keys: d, r, c0, c; tree keys: k, depth, c0, c).
+The five exhaustion commands (cap-profile, classify, ut-report, hbempty,
+liouville) take --generator SPEC without r=/depth=. Level lists are
+"8:128" (doubling), "4:20:2" (arithmetic) or "3,5,9" (explicit).
 
-Output is JSON on stdout (--output csv for tabular commands). Domain
-errors print a machine-readable record and exit 1; usage errors exit 2.
-The ROYDEN_VERTEX_CAP environment variable caps constructible sizes.
+Output is JSON on stdout; the tabular commands (cap-profile, spectrum,
+bounds, trace) also take --output csv. Domain errors print a
+machine-readable record and exit 1; usage errors exit 2. The
+ROYDEN_VERTEX_CAP environment variable caps constructible sizes.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import sys
 import numpy as np
 
 from . import harmonic, potential, spectral, walker
-from .errors import RoydenError, SizeOverflow
+from .errors import NegativeTime, RoydenError, SizeOverflow
 from .graph import (
     ExhaustionGenerator,
     Section,
@@ -199,34 +202,24 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _load_source(args) -> tuple:
-    """(section or None, generator or None, level or None)."""
-    if bool(args.graph) == bool(args.generator):
-        raise UsageError("exactly one of --graph or --generator is required")
+def need_section(args) -> Section:
     if args.graph:
         try:
             with open(args.graph) as fh:
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read {args.graph}: {exc}")
-        return parse_graph_file(text), None, None
+        return parse_graph_file(text)
     gen, level = parse_generator_spec(args.generator)
-    return None, gen, level
-
-
-def need_section(args) -> Section:
-    sec, gen, level = _load_source(args)
-    if sec is not None:
-        return sec
     if level is None:
         raise UsageError("this command needs a fixed level: add r=/depth= to the generator spec")
     return gen.section(level)
 
 
 def need_generator(args) -> ExhaustionGenerator:
-    sec, gen, _ = _load_source(args)
-    if gen is None:
-        raise UsageError("this command scans an exhaustion; it needs --generator")
+    gen, level = parse_generator_spec(args.generator)
+    if level is not None:
+        raise UsageError("this command scans an exhaustion: drop r=/depth= from the spec")
     return gen
 
 
@@ -259,9 +252,8 @@ def _clean(obj):
 
 
 def emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
-    if args.output == "csv":
-        if csv_rows is None:
-            raise UsageError("this command has no CSV form; use --output json")
+    """Print payload as JSON, or csv_rows when a tabular command asks for csv."""
+    if csv_rows is not None and args.output == "csv":
         out = [",".join(csv_header)]
         for row in csv_rows:
             out.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
@@ -320,12 +312,8 @@ def cmd_gen(args):
 
 
 def cmd_cap(args):
-    sec, gen, level = _load_source(args)
-    if sec is None:
-        if level is None:
-            raise UsageError("add r=/depth= to the generator spec")
-        sec = gen.section(level)
-    res = potential.equilibrium_potential(sec, parse_label(args.vertex), rel_tol=args.tol_solver)
+    s = need_section(args)
+    res = potential.equilibrium_potential(s, parse_label(args.vertex), rel_tol=args.tol_solver)
     if args.potential_out:
         with open(args.potential_out, "w") as fh:
             fh.write(serialize_vertex_fn(res.u))
@@ -334,7 +322,7 @@ def cmd_cap(args):
         "vertex": args.vertex,
         "cap": res.cap,
         "degenerate": res.degenerate,
-        "level": level,
+        "level": parse_generator_spec(args.generator)[1] if args.generator else None,
     })
 
 
@@ -599,7 +587,13 @@ def cmd_trace(args):
         times = [finite_float(tok) for tok in args.times.split(",")]
     except argparse.ArgumentTypeError:
         raise UsageError(f"bad time grid {args.times!r}: each time must be a finite number")
-    points = [{"t": t, "trace": spectral.heat_trace(s, t)} for t in times]
+    points = []
+    for t in times:
+        if t < 0:
+            raise NegativeTime(f"t must be >= 0, got {t}")
+        if not points:
+            w = spectral.spectrum(s).eigenvalues  # one eigensolve serves the whole grid
+        points.append({"t": t, "trace": float(np.sum(np.exp(-t * w)))})
     rows = [(p["t"], p["trace"]) for p in points]
     emit(args, {"command": "trace", "points": points}, rows, ["t", "trace"])
 
@@ -652,88 +646,110 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--graph", metavar="FILE", help="graph file source")
-    shared.add_argument(
-        "--generator", metavar="SPEC", help="generator source, family:key=value,..."
+    section = argparse.ArgumentParser(add_help=False)
+    source = section.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", metavar="FILE", help="graph file source")
+    source.add_argument("--generator", metavar="SPEC", help="family:key=value,... with r=/depth=")
+    exhaustion = argparse.ArgumentParser(add_help=False)
+    exhaustion.add_argument(
+        "--generator", required=True, metavar="SPEC", help="family:key=value,... without r=/depth="
     )
-    shared.add_argument("--output", choices=("json", "csv"), default="json")
-    shared.add_argument("--tol", type=finite_float, default=1e-3, help="classification tolerance")
-    shared.add_argument(
+    verdict_tol = argparse.ArgumentParser(add_help=False)
+    verdict_tol.add_argument(
+        "--tol", type=finite_float, default=1e-3, help="classification tolerance"
+    )
+    solver_tol = argparse.ArgumentParser(add_help=False)
+    solver_tol.add_argument(
         "--tol-solver", type=positive_float, default=1e-10, help="linear solver relative tolerance"
     )
+    tabular = argparse.ArgumentParser(add_help=False)
+    tabular.add_argument("--output", choices=("json", "csv"), default="json")
 
-    def add(name, fn, help_, **extra):
-        p = sub.add_parser(name, parents=[shared], help=help_, description=help_)
+    def add(name, fn, help_, *parents):
+        # no abbreviations: --tol must not stand for --tol-solver where only that exists
+        p = sub.add_parser(
+            name, parents=parents, help=help_, description=help_, allow_abbrev=False
+        )
         p.set_defaults(handler=fn)
         return p
 
-    add("validate", cmd_validate, "check section invariants, list components")
-    add("gen", cmd_gen, "emit the section in the graph file format")
+    add("validate", cmd_validate, "check section invariants, list components", section)
+    add("gen", cmd_gen, "emit the section in the graph file format", section)
 
-    p = add("cap", cmd_cap, "capacity of a vertex (least energy pinned at 1 there)")
+    p = add("cap", cmd_cap, "capacity of a vertex (least energy pinned at 1 there)",
+            section, solver_tol)
     p.add_argument("--vertex", required=True, help="vertex index or label")
     p.add_argument("--potential-out", metavar="FILE", help="write the minimizer")
 
-    p = add("cap-profile", cmd_cap_profile, "capacity along an exhaustion")
+    p = add("cap-profile", cmd_cap_profile, "capacity along an exhaustion",
+            exhaustion, solver_tol, tabular)
     p.add_argument("--vertex", help="tracked label (default: generator origin)")
     p.add_argument("--levels", help="levels, e.g. 8:128 or 4:20:2 or 3,5,9")
 
-    p = add("classify", cmd_classify, "transient / recurrent from the capacity profile")
+    p = add("classify", cmd_classify, "transient / recurrent from the capacity profile",
+            exhaustion, verdict_tol, solver_tol)
     p.add_argument("--vertex", help="tracked label (default: generator origin)")
     p.add_argument("--levels", help="levels override")
 
-    p = add("gamma", cmd_gamma, "energy metric between two vertices")
+    p = add("gamma", cmd_gamma, "energy metric between two vertices", section, solver_tol)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
 
-    p = add("gamma-o", cmd_gamma_o, "energy metric anchored at a pin vertex")
+    p = add("gamma-o", cmd_gamma_o, "energy metric anchored at a pin vertex", section, solver_tol)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--pin", required=True, help="anchor vertex o")
 
-    p = add("resistance", cmd_resistance, "free effective resistance, mask ignored")
+    p = add("resistance", cmd_resistance, "free effective resistance, mask ignored",
+            section, solver_tol)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
 
-    p = add("ut-report", cmd_ut_report, "uniform transience verdict with certificates")
+    p = add("ut-report", cmd_ut_report, "uniform transience verdict with certificates",
+            exhaustion, verdict_tol, solver_tol)
     p.add_argument("--window", type=int, default=2, help="window scan level")
     p.add_argument("--levels", help="profile levels override")
     p.add_argument("--gap-levels", help="spectral gap scan levels override")
 
-    p = add("dirichlet", cmd_dirichlet, "solve the Dirichlet problem for mask data")
+    p = add("dirichlet", cmd_dirichlet, "solve the Dirichlet problem for mask data",
+            section, solver_tol)
     p.add_argument("--boundary", required=True, metavar="FILE", help="mask values file")
     p.add_argument("--solution-out", metavar="FILE")
 
-    p = add("decompose", cmd_decompose, "energy-orthogonal mask-vanishing + harmonic split")
+    p = add("decompose", cmd_decompose, "energy-orthogonal mask-vanishing + harmonic split",
+            section, solver_tol)
     p.add_argument("--fn", required=True, metavar="FILE", help="vertex function file")
 
-    p = add("maxcheck", cmd_maxcheck, "maximum principle report for a harmonic function")
+    p = add("maxcheck", cmd_maxcheck, "maximum principle report for a harmonic function", section)
     p.add_argument("--fn", required=True, metavar="FILE")
 
-    p = add("hbempty", cmd_hbempty, "harmonic boundary emptiness probe")
+    p = add("hbempty", cmd_hbempty, "harmonic boundary emptiness probe",
+            exhaustion, verdict_tol, solver_tol)
     p.add_argument("--levels", help="levels override")
 
-    p = add("truncate-harmonic", cmd_truncate_harmonic, "clamp a harmonic f, redecompose")
+    p = add("truncate-harmonic", cmd_truncate_harmonic, "clamp a harmonic f, redecompose",
+            section, solver_tol)
     p.add_argument("--fn", required=True, metavar="FILE")
     p.add_argument("--bound", required=True, type=finite_float)
 
-    p = add("liouville", cmd_liouville, "oscillation trend of receding sector data")
+    p = add("liouville", cmd_liouville, "oscillation trend of receding sector data",
+            exhaustion, verdict_tol, solver_tol)
     p.add_argument("--levels", required=True)
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--ut-window", type=int, help="also run ut-report and combine")
 
-    p = add("spectrum", cmd_spectrum, "Dirichlet eigenvalues")
+    p = add("spectrum", cmd_spectrum, "Dirichlet eigenvalues", section, tabular)
     p.add_argument("--k", type=int, help="number of smallest pairs (enables Lanczos)")
 
-    p = add("bounds", cmd_bounds, "capacity lower bounds on eigenvalues")
+    p = add("bounds", cmd_bounds, "capacity lower bounds on eigenvalues",
+            section, solver_tol, tabular)
     p.add_argument(
         "--enumeration",
         default="measure-decreasing",
         help='"measure-decreasing" or a comma list of interior vertices',
     )
 
-    p = add("heat", cmd_heat, "apply the heat semigroup to a function")
+    p = add("heat", cmd_heat, "apply the heat semigroup to a function", section, solver_tol)
     p.add_argument("--t", required=True, type=finite_float)
     p.add_argument("--fn", required=True, metavar="FILE")
     p.add_argument("--check", action="store_true", help="also verify the sup-norm bound")
@@ -741,14 +757,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--solution-out", metavar="FILE")
 
-    p = add("trace", cmd_trace, "heat trace over a time grid")
+    p = add("trace", cmd_trace, "heat trace over a time grid", section, tabular)
     p.add_argument("--times", required=True, help="comma list, e.g. 0.1,1,10")
 
-    p = add("gapcheck", cmd_gapcheck, "spectral gap criterion")
+    p = add("gapcheck", cmd_gapcheck, "spectral gap criterion", section)
     p.add_argument("--trials", type=int, default=32)
     p.add_argument("--seed", required=True, type=int)
 
-    p = add("walk", cmd_walk, "random-walk escape probability from a vertex")
+    p = add("walk", cmd_walk, "random-walk escape probability from a vertex", section)
     p.add_argument("--vertex", required=True)
     p.add_argument("--trials", required=True, type=int)
     p.add_argument("--seed", required=True, type=int)

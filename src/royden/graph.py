@@ -129,9 +129,6 @@ class Section:
                 return v
         raise UnknownVertex(f"no vertex {vertex!r} in section of size {self.n}")
 
-    def is_masked(self, v: int) -> bool:
-        return bool(self.dirichlet[v])
-
     def fn(self, values) -> "VertexFn":
         """Wrap values (array, scalar, or {vertex: value} mapping) as a VertexFn."""
         if isinstance(values, Mapping):
@@ -147,12 +144,6 @@ class Section:
                     f"expected {self.n} values, got shape {arr.shape}"
                 )
             arr = arr.copy()
-        return VertexFn(self, arr)
-
-    def indicator(self, vertex) -> "VertexFn":
-        v = self.index_of(vertex)
-        arr = np.zeros(self.n)
-        arr[v] = 1.0
         return VertexFn(self, arr)
 
     @cached_property

@@ -67,27 +67,22 @@ def default_max_iter(dimension: int) -> int:
     return int(20 * math.isqrt(max(dimension, 1)) + 200)
 
 
-def cg_solve(
-    A: SymOperator,
-    rhs: np.ndarray,
-    rel_tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> CGResult:
+def cg_solve(A: SymOperator, rhs: np.ndarray, rel_tol: float = 1e-10) -> CGResult:
     """Solve A x = rhs by preconditioned conjugate gradients.
 
     Convergence means ||A x - rhs|| <= rel_tol * ||rhs|| in the Euclidean
     norm (checked on the true residual, not the recurrence). Raises
-    NoConvergence past the iteration budget and SingularOperator on a
-    zero-curvature breakdown. The iteration runs on rhs scaled by a power
-    of two to a peak in [0.5, 1), which is exact, so tiny or huge data
-    cannot underflow or overflow in its inner products.
+    NoConvergence past default_max_iter(n) iterations and
+    SingularOperator on a zero-curvature breakdown. The iteration runs on
+    rhs scaled by a power of two to a peak in [0.5, 1), which is exact,
+    so tiny or huge data cannot underflow or overflow in its inner
+    products.
     """
     n = A.dimension
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (n,):
         raise InvalidParameter(f"rhs has shape {rhs.shape}, expected ({n},)")
-    if max_iter is None:
-        max_iter = default_max_iter(n)
+    max_iter = default_max_iter(n)
 
     peak = float(np.max(np.abs(rhs), initial=0.0))
     if peak == 0.0:
@@ -179,12 +174,7 @@ def inverse_diagonal(A: SymOperator) -> np.ndarray:
     return inverse.diagonal().copy()
 
 
-def grounded_solve(
-    A: SymOperator,
-    rhs: np.ndarray,
-    rel_tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> CGResult:
+def grounded_solve(A: SymOperator, rhs: np.ndarray, rel_tol: float = 1e-10) -> CGResult:
     """Solve A x = rhs for a grounded (positive definite) energy operator.
 
     CG first. If CG runs out of iterations on at most DENSE_CAP
@@ -194,7 +184,7 @@ def grounded_solve(
     iterations spent and the dense residual.
     """
     try:
-        return cg_solve(A, rhs, rel_tol=rel_tol, max_iter=max_iter)
+        return cg_solve(A, rhs, rel_tol=rel_tol)
     except NoConvergence as failure:
         if A.dimension > DENSE_CAP:
             raise
@@ -208,19 +198,13 @@ def grounded_solve(
         return CGResult(x=x, iterations=failure.iterations, residual=residual)
 
 
-def solve_rank_one(
-    A: SymOperator,
-    o: int,
-    rhs: np.ndarray,
-    rel_tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> CGResult:
+def solve_rank_one(A: SymOperator, o: int, rhs: np.ndarray, rel_tol: float = 1e-10) -> CGResult:
     """Solve (A + e_o e_o^T) x = rhs by grounded_solve on the corrected operator."""
     n = A.dimension
     if not 0 <= o < n:
         raise InvalidParameter(f"pin vertex {o} out of range 0..{n - 1}")
     bump = sp.csr_matrix(([1.0], ([o], [o])), shape=(n, n))
-    return grounded_solve(SymOperator(A.matrix + bump), rhs, rel_tol=rel_tol, max_iter=max_iter)
+    return grounded_solve(SymOperator(A.matrix + bump), rhs, rel_tol=rel_tol)
 
 
 @dataclass(frozen=True)

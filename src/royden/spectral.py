@@ -203,13 +203,6 @@ def _resolve_enumeration(s: Section, inter: np.ndarray, enumeration) -> np.ndarr
 # heat semigroup
 
 
-def _dense_spectrum(s: Section) -> SpectralResult:
-    spec = spectrum(s)
-    if spec.method != "dense":
-        raise DimensionCap("heat calculus needs the dense spectrum")
-    return spec
-
-
 def heat_apply(s: Section, t: float, f: VertexFn) -> VertexFn:
     """exp(-t L) f through the dense eigendecomposition, L = M^(-1) A.
 
@@ -221,7 +214,7 @@ def heat_apply(s: Section, t: float, f: VertexFn) -> VertexFn:
         raise NegativeTime(f"t must be >= 0, got {t}")
     if t == 0:
         return VertexFn(s, f.values.copy())
-    spec = _dense_spectrum(s)
+    spec = spectrum(s)
     inter = spec.interior
     coeff = spec.eigenvectors.T @ (s.m[inter] * f.values[inter])
     out = np.zeros(s.n)
@@ -233,7 +226,7 @@ def heat_trace(s: Section, t: float) -> float:
     """Sum of exp(-t lambda_i) over the Dirichlet spectrum."""
     if t < 0:
         raise NegativeTime(f"t must be >= 0, got {t}")
-    spec = _dense_spectrum(s)
+    spec = spectrum(s)
     return float(np.sum(np.exp(-t * spec.eigenvalues)))
 
 
@@ -262,7 +255,7 @@ def ultracontractivity_check(
         raise InvalidParameter("the bound degenerates at t = 0; use t > 0")
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
-    spec = _dense_spectrum(s)
+    spec = spectrum(s)
     inter = spec.interior
     mass = s.m[inter]
     const = sup_norm_constant(s, rel_tol=rel_tol)

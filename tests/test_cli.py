@@ -1,5 +1,8 @@
+import argparse
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 import royden as R
-from royden.cli import main, parse_generator_spec, parse_levels, UsageError
+from royden.cli import build_parser, main, parse_generator_spec, parse_levels, UsageError
 from royden.schemas import available, schema_for
 
 
@@ -202,6 +205,24 @@ def test_doubling_levels_below_one_are_usage_errors(capsys, levels):
     assert code == 2
 
 
+def test_trace_prints_heat_trace_at_every_time_from_one_spectrum(capsys, monkeypatch, graph_file):
+    import royden.cli as cli
+
+    calls = []
+    real = cli.spectral.spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.spectral, "spectrum", counted)
+    times = [0.0, 0.01, 0.5, 1.0, 10.0, 1e3]
+    payload = run_json(capsys, "trace", "--graph", graph_file, "--times", ",".join(map(str, times)))
+    assert len(calls) == 1
+    s = R.parse_graph_file(open(graph_file).read())
+    assert payload["points"] == [{"t": t, "trace": R.heat_trace(s, t)} for t in times]
+
+
 def test_spectrum_lanczos_on_ungrounded_section_exits_1(capsys, tmp_path):
     s = R.build_section(600, [(i, i + 1, 1.0) for i in range(599)])
     path = tmp_path / "path600.graph"
@@ -233,17 +254,20 @@ def test_schema_inventory_covers_commands():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["trace", "--times", "nan"],
-        ["trace", "--times", "0.5,inf"],
-        ["spectrum", "--tol-solver", "-1"],
-        ["spectrum", "--tol-solver", "0"],
-        ["spectrum", "--tol-solver", "nan"],
-        ["spectrum", "--tol", "nan"],
+        ["trace", "--graph", "{graph}", "--times", "nan"],
+        ["trace", "--graph", "{graph}", "--times", "0.5,inf"],
+        ["bounds", "--graph", "{graph}", "--tol-solver", "-1"],
+        ["bounds", "--graph", "{graph}", "--tol-solver", "0"],
+        ["bounds", "--graph", "{graph}", "--tol-solver", "nan"],
+        ["classify", "--generator", "lattice:d=1", "--tol", "nan"],
     ],
     ids=["times-nan", "times-inf", "tol-solver-negative", "tol-solver-zero", "tol-solver-nan", "tol-nan"],
 )
 def test_non_finite_or_nonpositive_numbers_are_usage_errors(capsys, graph_file, argv):
-    code, out = run(capsys, *argv, "--graph", graph_file)
+    argv = [tok.format(graph=graph_file) for tok in argv]
+    # the command takes the option: only the bad value (the last token) is refused
+    build_parser().parse_args(argv[:-1] + ["1"])
+    code, out = run(capsys, *argv)
     assert code == 2 and out == ""
 
 
@@ -409,3 +433,95 @@ def test_level_lists_above_the_cap_are_refused_before_any_list():
     cap = R.vertex_cap()
     assert parse_levels(f"1:{cap + 1}:{cap + 1}") == (1,)
     assert parse_levels(f"{cap}:{2 * cap - 1}") == (cap,)
+
+
+# every subcommand with its required arguments besides the graph source
+COMMAND_ARGS = {
+    "validate": [],
+    "gen": [],
+    "cap": ["--vertex", "0"],
+    "cap-profile": [],
+    "classify": [],
+    "gamma": ["--x", "0", "--y", "1"],
+    "gamma-o": ["--x", "0", "--y", "1", "--pin", "0"],
+    "resistance": ["--x", "0", "--y", "1"],
+    "ut-report": [],
+    "dirichlet": ["--boundary", "bd.fn"],
+    "decompose": ["--fn", "f.fn"],
+    "maxcheck": ["--fn", "f.fn"],
+    "hbempty": [],
+    "truncate-harmonic": ["--fn", "f.fn", "--bound", "0.5"],
+    "liouville": ["--levels", "2,3,4", "--seed", "1"],
+    "spectrum": [],
+    "bounds": [],
+    "heat": ["--t", "0.5", "--fn", "f.fn"],
+    "trace": ["--times", "0.5"],
+    "gapcheck": ["--seed", "1"],
+    "walk": ["--vertex", "0", "--trials", "10", "--seed", "1"],
+}
+EXHAUSTION = ("cap-profile", "classify", "ut-report", "hbempty", "liouville")
+TABULAR = ("cap-profile", "spectrum", "bounds", "trace")
+SHARED_OPTIONS = {"--graph": "graph", "--generator": "generator", "--tol": "tol",
+                  "--tol-solver": "tol_solver", "--output": "output"}
+
+
+def _subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _reads(command: str, option: str) -> bool:
+    """Whether the command's handler reads the option, from its source."""
+    src = inspect.getsource(_subparsers()[command].get_default("handler"))
+    return {
+        "--graph": "need_section(" in src,
+        "--generator": True,
+        "--tol": re.search(r"args\.tol\b", src) is not None,
+        "--tol-solver": "args.tol_solver" in src,
+        "--output": command in TABULAR,
+    }[option]
+
+
+def test_shared_options_are_counted_per_command():
+    subparsers = _subparsers()
+    assert sorted(subparsers) == sorted(COMMAND_ARGS)
+    pairs = [
+        (name, opt) for name, p in subparsers.items() for opt in SHARED_OPTIONS
+        if opt in p._option_string_actions
+    ]
+    assert len(pairs) == 59
+    assert sorted(pairs) == sorted(
+        (name, opt) for name in COMMAND_ARGS for opt in SHARED_OPTIONS if _reads(name, opt)
+    )
+
+
+@pytest.mark.parametrize("option", list(SHARED_OPTIONS))
+@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+def test_each_command_takes_only_the_options_it_reads(capsys, graph_file, command, option):
+    spec = "lattice:d=1" if command in EXHAUSTION else "lattice:d=1,r=3"
+    base = [command, *COMMAND_ARGS[command], "--generator", spec]
+    value, parsed = {"--graph": (graph_file, graph_file), "--generator": (spec, spec),
+                     "--tol": ("0.01", 0.01), "--tol-solver": ("1e-9", 1e-9),
+                     "--output": ("csv", "csv")}[option]
+    if option == "--generator":
+        argv = base
+    elif option == "--graph" and _reads(command, option):
+        argv = [*base[:-2], option, value]  # a section command takes one source
+    else:
+        argv = [*base, option, value]
+    if _reads(command, option):
+        assert vars(build_parser().parse_args(argv))[SHARED_OPTIONS[option]] == parsed
+    else:
+        build_parser().parse_args(base)  # only the option makes the argv wrong
+        code, out = run(capsys, *argv)
+        assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("spec", ["lattice:d=2,r=8", "tree:k=3,depth=4"])
+@pytest.mark.parametrize("command", EXHAUSTION)
+def test_a_level_in_an_exhaustion_spec_is_a_usage_error(capsys, command, spec):
+    code = main([command, *COMMAND_ARGS[command], "--generator", spec])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "drop r=/depth=" in captured.err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import royden.numerics as numerics
 from royden.errors import DimensionCap, InvalidParameter, NoConvergence, SingularOperator
 from royden.numerics import (
     SymOperator,
@@ -16,6 +17,11 @@ from royden.numerics import (
 
 def op(dense):
     return SymOperator(sp.csr_matrix(np.asarray(dense, dtype=float)))
+
+
+def cg_budget(monkeypatch, iterations):
+    """Give every CG run the same small iteration budget."""
+    monkeypatch.setattr(numerics, "default_max_iter", lambda dimension: iterations)
 
 
 def test_cg_exact_small():
@@ -63,12 +69,14 @@ def test_cg_detects_singular():
         cg_solve(A, np.array([1.0, 1.0]))
 
 
-def test_cg_budget_exhaustion():
+def test_cg_budget_exhaustion(monkeypatch):
     rng = np.random.default_rng(11)
     B = rng.normal(size=(30, 30))
     A = B @ B.T + 0.01 * np.eye(30)
-    with pytest.raises(NoConvergence):
-        cg_solve(op(A), rng.normal(size=30), rel_tol=1e-14, max_iter=2)
+    cg_budget(monkeypatch, 2)
+    with pytest.raises(NoConvergence) as err:
+        cg_solve(op(A), rng.normal(size=30), rel_tol=1e-14)
+    assert err.value.iterations == 2
 
 
 def test_rank_one_routes_agree():
@@ -102,8 +110,6 @@ def test_dense_eigh_pencil():
 
 
 def test_dense_eigh_dimension_cap(monkeypatch):
-    import royden.numerics as numerics
-
     monkeypatch.setattr(numerics, "DENSE_CAP", 5)
     with pytest.raises(DimensionCap):
         dense_eigh(np.eye(10), np.ones(10))
@@ -120,8 +126,6 @@ def test_inverse_diagonal_matches_dense_inverse():
 
 
 def test_cholesky_refuses_singular_and_non_finite(monkeypatch):
-    import royden.numerics as numerics
-
     with pytest.raises(SingularOperator):
         cholesky(op([[1.0, -1.0], [-1.0, 1.0]]))
     with pytest.raises(InvalidParameter):
@@ -137,26 +141,28 @@ def _hard_system():
     return op(B @ B.T + 0.01 * np.eye(30)), rng.normal(size=30)
 
 
-def test_grounded_solve_dense_fallback_after_cg_budget():
+def test_grounded_solve_dense_fallback_after_cg_budget(monkeypatch):
     A, rhs = _hard_system()
-    res = grounded_solve(A, rhs, rel_tol=1e-10, max_iter=2)
+    cg_budget(monkeypatch, 2)
+    res = grounded_solve(A, rhs, rel_tol=1e-10)
     assert res.iterations == 2
     assert res.residual <= 1e-10 * np.linalg.norm(rhs)
     np.testing.assert_allclose(res.x, np.linalg.solve(A.dense(), rhs), rtol=1e-8)
 
 
 def test_grounded_solve_reraises_cg_failure(monkeypatch):
-    import royden.numerics as numerics
-
     A, rhs = _hard_system()
+    cg_budget(monkeypatch, 2)
     # the dense answer cannot meet a tolerance below rounding
     with pytest.raises(NoConvergence) as err:
-        grounded_solve(A, rhs, rel_tol=1e-300, max_iter=2)
+        grounded_solve(A, rhs, rel_tol=1e-300)
     assert err.value.iterations == 2
     # an indefinite operator has no Cholesky factor
+    cg_budget(monkeypatch, 1)
     with pytest.raises(NoConvergence):
-        grounded_solve(op([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 0.0]), max_iter=1)
+        grounded_solve(op([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 0.0]))
     # above DENSE_CAP there is no dense retry
+    cg_budget(monkeypatch, 2)
     monkeypatch.setattr(numerics, "DENSE_CAP", 10)
     with pytest.raises(NoConvergence):
-        grounded_solve(A, rhs, rel_tol=1e-10, max_iter=2)
+        grounded_solve(A, rhs, rel_tol=1e-10)
