@@ -44,6 +44,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -67,6 +68,12 @@ from .graph import (
 
 class UsageError(Exception):
     pass
+
+
+# a value such as the time grid -1,0.5 or the label -1,0,0 starts like a
+# negative number; argparse (before Python 3.13) takes only a plain number
+# for a value there, and anything else for an unknown option
+NUMBER_LIKE = re.compile(r"^-\.?\d")
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +504,17 @@ def cmd_truncate_harmonic(args):
 
 
 def cmd_liouville(args):
+    if args.tol is not None and args.ut_window is None:
+        raise UsageError("--tol only applies with --ut-window")
     gen = need_generator(args)
     rep = harmonic.liouville_probe(
         gen, parse_levels(args.levels), seed=args.seed, rel_tol=args.tol_solver
     )
     note = None
-    if args.ut_window:
+    if args.ut_window is not None:
+        options = {} if args.tol is None else {"tol": args.tol}
         ut = potential.uniform_transience_report(
-            gen, window_level=args.ut_window, tol=args.tol, rel_tol=args.tol_solver
+            gen, window_level=args.ut_window, rel_tol=args.tol_solver, **options
         )
         note = harmonic.one_point_summary(rep, ut)
     emit(args, {
@@ -557,16 +567,19 @@ def cmd_bounds(args):
 
 
 def cmd_heat(args):
+    # --trials and --tol-solver default to the library's values
+    options = {"trials": args.trials, "rel_tol": args.tol_solver}
+    options = {key: value for key, value in options.items() if value is not None}
+    if args.check and args.seed is None:
+        raise UsageError("--check needs --seed")
+    if not args.check and (options or args.seed is not None):
+        raise UsageError("--trials, --seed and --tol-solver only apply with --check")
     s = need_section(args)
     f = load_fn(s, args.fn)
     out = spectral.heat_apply(s, args.t, f)
     ultra = None
     if args.check:
-        if args.seed is None:
-            raise UsageError("--check needs --seed")
-        rep = spectral.ultracontractivity_check(
-            s, args.t, trials=args.trials, seed=args.seed, rel_tol=args.tol_solver
-        )
+        rep = spectral.ultracontractivity_check(s, args.t, seed=args.seed, **options)
         ultra = {
             "C": rep.C,
             "prefactor": rep.prefactor,
@@ -671,6 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
             name, parents=parents, help=help_, description=help_, allow_abbrev=False
         )
         p.set_defaults(handler=fn)
+        p._negative_number_matcher = NUMBER_LIKE
         return p
 
     add("validate", cmd_validate, "check section invariants, list components", section)
@@ -733,10 +747,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", required=True, type=finite_float)
 
     p = add("liouville", cmd_liouville, "oscillation trend of receding sector data",
-            exhaustion, verdict_tol, solver_tol)
+            exhaustion, solver_tol)
     p.add_argument("--levels", required=True)
     p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--ut-window", type=int, help="also run ut-report and combine")
+    p.add_argument(
+        "--ut-window", type=positive_int, help="also run ut-report at this window level and combine"
+    )
+    p.add_argument(
+        "--tol", type=finite_float, help="classification tolerance of --ut-window (default 1e-3)"
+    )
 
     p = add("spectrum", cmd_spectrum, "Dirichlet eigenvalues", section, tabular)
     p.add_argument("--k", type=int, help="number of smallest pairs (enables Lanczos)")
@@ -749,12 +768,19 @@ def build_parser() -> argparse.ArgumentParser:
         help='"measure-decreasing" or a comma list of interior vertices',
     )
 
-    p = add("heat", cmd_heat, "apply the heat semigroup to a function", section, solver_tol)
+    p = add("heat", cmd_heat, "apply the heat semigroup to a function", section)
     p.add_argument("--t", required=True, type=finite_float)
     p.add_argument("--fn", required=True, metavar="FILE")
-    p.add_argument("--check", action="store_true", help="also verify the sup-norm bound")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int)
+    p.add_argument(
+        "--check", action="store_true",
+        help="also verify the sup-norm bound; --seed is required with it",
+    )
+    p.add_argument("--trials", type=int, help="random functions of --check (default 50)")
+    p.add_argument("--seed", type=int, help="seed of --check")
+    p.add_argument(
+        "--tol-solver", type=positive_float,
+        help="linear solver relative tolerance of --check (default 1e-10)",
+    )
     p.add_argument("--solution-out", metavar="FILE")
 
     p = add("trace", cmd_trace, "heat trace over a time grid", section, tabular)

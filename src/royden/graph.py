@@ -20,7 +20,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -437,6 +437,13 @@ def sections_equal(a: Section, b: Section, tol: float = 0.0) -> bool:
 # generators
 
 
+class Orbits(NamedTuple):
+    """The orbit section of a level and the member count of each orbit."""
+
+    section: Section
+    size: np.ndarray
+
+
 @dataclass(frozen=True)
 class ExhaustionGenerator:
     """A family of growing sections of one infinite graph.
@@ -444,6 +451,10 @@ class ExhaustionGenerator:
     section(level) builds the finite section at the given level; labels
     at level n reappear at level n+1 with identical b and c entries, so
     per-vertex quantities can be tracked across levels.
+
+    orbits(level) builds the level's orbit section: one vertex per orbit
+    of the automorphisms that fix the origin, the mask and c. The built-in
+    families build it directly, without the full level.
     """
 
     family: str
@@ -451,31 +462,60 @@ class ExhaustionGenerator:
     origin: object  # label of the anchor vertex (profile base point)
     is_vertex_transitive: bool
     _build: Callable[[int], Section]
+    _build_orbits: Callable[[int], Orbits] | None = None
+    _orbit_label: Callable[[object], object] | None = None
 
     def section(self, level: int) -> Section:
         if level < 1:
             raise InvalidParameter(f"exhaustion level must be >= 1, got {level}")
         return self._build(level)
 
+    def orbits(self, level: int) -> Orbits:
+        """Orbit section of a level, with its orbit sizes.
+
+        Each orbit becomes one vertex, labelled by one of its members.
+        Weights between orbits, c and m are summed, an orbit is masked
+        when its members are, and edges inside an orbit are dropped. The
+        origin is its own orbit. The origin's equilibrium potential and
+        the Dirichlet ground state are unique, hence constant on orbits,
+        and a function constant on orbits has the same energy and mass
+        on both sections; so the origin's capacity and the bottom of the
+        Dirichlet spectrum are those of the full level. A family without
+        a quotient builder returns the full section with unit sizes.
+        """
+        if self._build_orbits is None:
+            sec = self.section(level)
+            return Orbits(sec, np.ones(sec.n))
+        if level < 1:
+            raise InvalidParameter(f"exhaustion level must be >= 1, got {level}")
+        return self._build_orbits(level)
+
+    def orbit_label(self, label):
+        """Label of the orbit-section vertex whose orbit holds a full-section label."""
+        return label if self._orbit_label is None else self._orbit_label(label)
+
     def c_partial_sum(self, level: int) -> float:
         """Sum of the killing term over the level section."""
         return float(np.sum(self.section(level).c))
 
+    def _derived(self, suffix: str, fn: Callable[[int, Section], Section]) -> "ExhaustionGenerator":
+        """Generator whose full and orbit sections pass through fn(level, section)."""
+        build, build_orbits = self._build, self._build_orbits
+
+        def orbits(level: int) -> Orbits:
+            orb = build_orbits(level)
+            return orb._replace(section=fn(level, orb.section))
+
+        return replace(
+            self,
+            family=self.family + suffix,
+            _build=lambda level: fn(level, build(level)),
+            _build_orbits=None if build_orbits is None else orbits,
+        )
+
     def with_zero_c(self) -> "ExhaustionGenerator":
         """Derived generator over the same graph with the killing term dropped."""
-        base = self._build
-
-        def build(level: int) -> Section:
-            sec = base(level)
-            return replace(sec, c=np.zeros(sec.n))
-
-        return ExhaustionGenerator(
-            family=self.family + "+zero-c",
-            params=self.params,
-            origin=self.origin,
-            is_vertex_transitive=self.is_vertex_transitive,
-            _build=build,
-        )
+        return self._derived("+zero-c", lambda level, sec: replace(sec, c=np.zeros(sec.n)))
 
 
 def exhaust(gen: ExhaustionGenerator, n: int) -> Section:
@@ -530,6 +570,53 @@ def _lattice_section(d: int, radius: int, c_origin: float, c_const: float) -> Se
     return Section(adj=adj, c=c, m=np.ones(n), dirichlet=mask, labels=labels)
 
 
+def _lattice_orbits(d: int, radius: int, c_origin: float, c_const: float) -> Orbits:
+    """Box section of Z^d modulo the signed coordinate permutations.
+
+    An orbit is labelled by its member with ascending nonnegative
+    coordinates. A member's neighbours raise or lower one |coordinate| by
+    1 (0 goes to 1 both ways), which changes the coordinate sum, so no
+    edge stays inside an orbit.
+    """
+    _lattice_size(d, radius)  # the cap applies to the full level
+    side = radius + 1
+    if d == 1:
+        labels = tuple(range(side))
+    else:
+        labels = tuple(itertools.combinations_with_replacement(range(side), d))
+    a = np.array(labels, dtype=np.int64).reshape(len(labels), d)
+    k = len(a)
+
+    # members: d! / prod(multiplicity!) orderings times 2 signs per nonzero coordinate
+    ties = np.ones(k)
+    run = np.ones(k)
+    for j in range(1, d):
+        run = np.where(a[:, j] == a[:, j - 1], run + 1, 1)
+        ties *= run
+    size = math.factorial(d) / ties * 2.0 ** np.count_nonzero(a, axis=1)
+
+    # labels ascend lexicographically, so their mixed-radix keys ascend
+    radix = side ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    keys = a @ radix
+    rows, cols = [], []
+    for j in range(d):
+        for step in (1, -1):
+            b = a.copy()
+            b[:, j] = np.abs(b[:, j] + step)
+            keep = b[:, j] <= radius
+            rows.append(np.flatnonzero(keep))
+            cols.append(np.searchsorted(keys, np.sort(b[keep], axis=1) @ radix))
+    rows = np.concatenate(rows)
+    # each member has one edge per step into the target orbit; duplicates sum
+    adj = sp.csr_matrix((size[rows], (rows, np.concatenate(cols))), shape=(k, k))
+
+    c = float(c_const) * size
+    c[0] += float(c_origin)
+    sec = Section(adj=adj, c=c, m=size.copy(), dirichlet=a[:, -1] == radius, labels=labels)
+    return Orbits(sec, size)
+
+
+
 def _check_killing(*terms: float) -> None:
     if not all(math.isfinite(c) and c >= 0 for c in terms):
         raise InvalidParameter("killing terms must be finite and nonnegative")
@@ -555,6 +642,8 @@ def lattice_generator(d: int, c_origin: float = 0.0, c_const: float = 0.0) -> Ex
         origin=origin,
         is_vertex_transitive=(c_origin == 0 and c_const == 0),
         _build=lambda level: _lattice_section(d, level, c_origin, c_const),
+        _build_orbits=lambda level: _lattice_orbits(d, level, c_origin, c_const),
+        _orbit_label=lambda label: abs(label) if d == 1 else tuple(sorted(abs(v) for v in label)),
     )
 
 
@@ -563,13 +652,19 @@ def generate_lattice(d: int, radius: int) -> Section:
     return lattice_generator(d).section(radius)
 
 
-def _tree_section(degree: int, depth: int, c_origin: float, c_const: float) -> Section:
-    # vertices in BFS order: the root, its `degree` children, then `degree - 1`
-    # children per vertex of each further depth
+def _tree_widths(degree: int, depth: int) -> list:
+    """Vertices per depth: the root, its `degree` children, then `degree - 1`
+    children per vertex of each further depth."""
     widths = [1]
     for level in range(1, depth + 1):
         widths.append(degree if level == 1 else widths[-1] * (degree - 1))
         _check_cap(sum(widths), "tree")
+    return widths
+
+
+def _tree_section(degree: int, depth: int, c_origin: float, c_const: float) -> Section:
+    # vertices in BFS order, one depth after the other
+    widths = _tree_widths(degree, depth)
     n = sum(widths)
 
     labels = ["r"]
@@ -606,6 +701,25 @@ def _tree_section(degree: int, depth: int, c_origin: float, c_const: float) -> S
     return Section(adj=adj, c=c, m=np.ones(n), dirichlet=mask, labels=tuple(labels))
 
 
+def _tree_orbits(degree: int, depth: int, c_origin: float, c_const: float) -> Orbits:
+    """Depth ball modulo the automorphisms fixing the root: one orbit per
+    depth, labelled by its first member, so the section is a weighted path
+    whose edge into a depth carries one unit per member of that depth."""
+    size = np.array(_tree_widths(degree, depth), dtype=float)
+    i = np.arange(depth)
+    w = size[1:]
+    adj = sp.csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([i, i + 1]), np.concatenate([i + 1, i]))),
+        shape=(depth + 1, depth + 1),
+    )
+    mask = np.zeros(depth + 1, dtype=bool)
+    mask[-1] = True
+    c = float(c_const) * size
+    c[0] += float(c_origin)
+    labels = tuple("r" + ".0" * j for j in range(depth + 1))
+    return Orbits(Section(adj=adj, c=c, m=size.copy(), dirichlet=mask, labels=labels), size)
+
+
 def tree_generator(degree: int, c_origin: float = 0.0, c_const: float = 0.0) -> ExhaustionGenerator:
     """Rooted regular tree exhausted by depth balls.
 
@@ -623,6 +737,8 @@ def tree_generator(degree: int, c_origin: float = 0.0, c_const: float = 0.0) -> 
         origin="r",
         is_vertex_transitive=False,
         _build=lambda level: _tree_section(degree, level, c_origin, c_const),
+        _build_orbits=lambda level: _tree_orbits(degree, level, c_origin, c_const),
+        _orbit_label=lambda label: "r" + ".0" * label.count("."),
     )
 
 

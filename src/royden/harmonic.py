@@ -185,17 +185,17 @@ def harmonic_boundary_empty(
     if levels is None:
         levels = default_profile_levels(gen)
     levels = tuple(int(v) for v in levels)
-    # the classifier builds each level once; its killing-free builder
-    # records the killing term's partial sum on the way
+    # the classifier builds each level once, as an orbit section where the
+    # family has one (summing c over orbits keeps its total); its
+    # killing-free builder records the killing term's partial sum on the way
     c_sums = {}
 
-    def build(level: int) -> Section:
-        sec = gen._build(level)
+    def drop_c(level: int, sec: Section) -> Section:
         c_sums[level] = float(np.sum(sec.c))
         return replace(sec, c=np.zeros(sec.n))
 
     zero_c = classify_transience(
-        replace(gen.with_zero_c(), _build=build), None, tol=tol, levels=levels, rel_tol=rel_tol
+        gen._derived("+zero-c", drop_c), None, tol=tol, levels=levels, rel_tol=rel_tol
     )
     sums = tuple(c_sums[lv] for lv in levels)
     tails = tuple(b - a for a, b in zip(sums, sums[1:]))

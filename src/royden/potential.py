@@ -235,13 +235,16 @@ def _check_monotone(levels, values) -> None:
 def _profile(gen: ExhaustionGenerator, x, levels: tuple, rel_tol: float):
     """capacity_profile, plus the section of levels[-1] it solved on.
 
-    Each level is built once, and no earlier level is alive while the
-    next one builds.
+    At the generator's origin each level is its orbit section, on which
+    the origin's capacity is that of the full level; any other x is
+    solved on the full level. Each level is built once, and no earlier
+    level is alive while the next one builds.
     """
+    build = (lambda level: gen.orbits(level).section) if x == gen.origin else gen.section
     values = []
     for level in levels:
         sec = None  # release the previous level before building this one
-        sec = gen.section(level)
+        sec = build(level)
         values.append(equilibrium_potential(sec, x, rel_tol=rel_tol).cap)
     values = tuple(values)
     _check_monotone(levels, values)
@@ -467,6 +470,31 @@ def _caps(s: Section, xs, rel_tol: float) -> list:
     return [equilibrium_potential(s, x, rel_tol=rel_tol).cap for x in xs]
 
 
+def _window_scan(gen: ExhaustionGenerator, window_level: int, rel_tol: float):
+    """Scan levels, the window's interior labels and one column of
+    capacities per scan level, aligned with those labels.
+
+    Automorphisms fixing the origin map every level onto itself, so one
+    solve per orbit of window labels serves all its members.
+    """
+    window = gen.section(window_level)
+    scan_levels = (window_level, 2 * window_level, 4 * window_level)
+    xs = [window.labels[v] for v in window.interior]
+    first = {}  # orbit label -> the first window label in that orbit
+    for x in xs:
+        first.setdefault(gen.orbit_label(x), x)
+    slot = {orbit: i for i, orbit in enumerate(first)}
+    member = [slot[gen.orbit_label(x)] for x in xs]
+    reps = list(first.values())
+    # the window serves the first scan level, and is released before the
+    # next one builds; each deeper level is built once for all of reps
+    columns = [_caps(window, reps, rel_tol)]
+    del window
+    if reps:
+        columns += [_caps(gen.section(lev), reps, rel_tol) for lev in scan_levels[1:]]
+    return scan_levels, xs, [[col[i] for i in member] for col in columns]
+
+
 def uniform_transience_report(
     gen: ExhaustionGenerator,
     window_level: int = 2,
@@ -485,20 +513,13 @@ def uniform_transience_report(
     transience. Otherwise a finite window scan of per-vertex capacity
     estimates gives a heuristic answer only.
 
-    The window scan builds each of its three levels once and solves every
-    window vertex there.
+    The window scan builds each of its three levels once and solves one
+    window vertex per orbit there. The profile and the gap scan solve on
+    orbit sections (see ExhaustionGenerator.orbits).
     """
     if window_level < 1:
         raise InvalidParameter("window level must be >= 1")
-    window = gen.section(window_level)
-    scan_levels = (window_level, 2 * window_level, 4 * window_level)
-    xs = [window.labels[v] for v in window.interior]
-    # the window serves the first scan level, and is released before the
-    # next one builds; each deeper level is built once for all of xs
-    columns = [_caps(window, xs, rel_tol)]
-    del window
-    if xs:
-        columns += [_caps(gen.section(lev), xs, rel_tol) for lev in scan_levels[1:]]
+    scan_levels, xs, columns = _window_scan(gen, window_level, rel_tol)
     estimates = []
     for values in zip(*columns):
         _check_monotone(scan_levels, values)
@@ -526,10 +547,13 @@ def uniform_transience_report(
         from .spectral import spectrum  # spectral imports this module
 
         glv = _check_levels(gap_levels if gap_levels is not None else default_gap_levels(gen))
-        lams = [float(spectrum(gen.section(lv), k=1).eigenvalues[0]) for lv in glv[:-1]]
-        deepest = gen.section(glv[-1])
+        # the Dirichlet ground state of a connected interior is simple and
+        # positive, so constant on orbits: the orbit pencil has the same bottom
+        lams = [float(spectrum(gen.orbits(lv).section, k=1).eigenvalues[0]) for lv in glv[:-1]]
+        deepest, size = gen.orbits(glv[-1])
         lams.append(float(spectrum(deepest, k=1).eigenvalues[0]))
-        delta = float(np.min(deepest.m[deepest.interior]))
+        inter = deepest.interior
+        delta = float(np.min(deepest.m[inter] / size[inter]))  # per vertex, not per orbit
         stabilized = (
             len(lams) >= 2
             and lams[-1] > tol

@@ -223,6 +223,63 @@ def test_trace_prints_heat_trace_at_every_time_from_one_spectrum(capsys, monkeyp
     assert payload["points"] == [{"t": t, "trace": R.heat_trace(s, t)} for t in times]
 
 
+@pytest.mark.parametrize(
+    "times", [["--times", "-1,0.5"], ["--times=-1,0.5"], ["--times", "-1"]],
+    ids=["separate-grid", "joined-grid", "separate-single"],
+)
+def test_negative_times_end_as_negative_time_however_spelled(capsys, graph_file, times):
+    code, out = run(capsys, "trace", "--graph", graph_file, *times)
+    assert code == 1
+    assert json.loads(out)["error"] == "NegativeTime"
+
+
+def test_a_label_with_a_leading_minus_is_a_value(capsys):
+    payload = run_json(capsys, "cap", "--generator", "lattice:d=3,r=2", "--vertex", "-1,0,0")
+    want = R.equilibrium_potential(R.generate_lattice(3, 2), (-1, 0, 0)).cap
+    assert payload["cap"] == want
+
+
+@pytest.mark.parametrize(
+    "option", [["--trials", "7"], ["--seed", "3"], ["--tol-solver", "1e-3"]],
+    ids=["trials", "seed", "tol-solver"],
+)
+def test_heat_check_options_need_check(capsys, graph_file, fn_file, option):
+    base = ["heat", "--graph", graph_file, "--t", "0.5", "--fn", fn_file]
+    code, out = run(capsys, *base, *option)
+    assert code == 2 and out == ""
+    seed = [] if option[0] == "--seed" else ["--seed", "3"]
+    payload = run_json(capsys, *base, "--check", *seed, *option)
+    assert payload["ultra"]["passed"]
+
+
+@pytest.mark.parametrize(
+    "extra", [["--tol", "0.5"], ["--ut-window", "0"], ["--ut-window", "0", "--tol", "0.5"]],
+    ids=["tol-without-window", "window-0", "window-0-tol"],
+)
+def test_liouville_tol_needs_a_ut_window(capsys, extra):
+    base = ["liouville", "--generator", "tree:k=3", "--levels", "3,4,5", "--seed", "2"]
+    code, out = run(capsys, *base, *extra)
+    assert code == 2 and out == ""
+
+
+def test_liouville_tol_reaches_the_ut_report(capsys, monkeypatch):
+    import royden.cli as cli
+
+    seen = []
+    real = cli.potential.uniform_transience_report
+
+    def record(*args, **kwargs):
+        seen.append(kwargs.get("tol"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.potential, "uniform_transience_report", record)
+    base = ["liouville", "--generator", "lattice:d=1", "--levels", "2,3,4", "--seed", "1",
+            "--ut-window", "1"]
+    run_json(capsys, *base)
+    run_json(capsys, *base, "--tol", "0.5")
+    assert seen == [None, 0.5]  # without --tol the report's own default applies
+
+
 def test_spectrum_lanczos_on_ungrounded_section_exits_1(capsys, tmp_path):
     s = R.build_section(600, [(i, i + 1, 1.0) for i in range(599)])
     path = tmp_path / "path600.graph"

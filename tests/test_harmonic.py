@@ -128,8 +128,14 @@ def test_harmonic_boundary_probe_builds_each_level_once():
     assert counted.held == [0, 0, 0]
     assert rep.c_partial_sums == tuple(gen.c_partial_sum(lv) for lv in (2, 3, 5))
     assert rep.c_tails == tuple(b - a for a, b in zip(rep.c_partial_sums, rep.c_partial_sums[1:]))
-    ref = R.classify_transience(gen.with_zero_c(), levels=(2, 3, 5))
+    # the counted generator is a custom one, so both solve on full levels
+    ref = R.classify_transience(
+        R.custom_generator(gen.with_zero_c().section, gen.origin), levels=(2, 3, 5)
+    )
     assert repr(rep.zero_c) == repr(ref)
+    # the built-in generator solves on orbit sections
+    orbit = R.classify_transience(gen.with_zero_c(), levels=(2, 3, 5))
+    assert orbit.profile.values == pytest.approx(ref.profile.values, rel=1e-12, abs=0)
 
 
 def test_liouville_trends():
