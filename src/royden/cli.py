@@ -529,7 +529,7 @@ def cmd_liouville(args):
 
 def cmd_spectrum(args):
     s = need_section(args)
-    spec = spectral.spectrum(s, k=args.k)
+    spec = spectral.spectrum(s, k=args.k, vectors=False)
     rows = [(i, float(v)) for i, v in enumerate(spec.eigenvalues)]
     emit(args, {
         "command": "spectrum",
@@ -605,7 +605,8 @@ def cmd_trace(args):
         if t < 0:
             raise NegativeTime(f"t must be >= 0, got {t}")
         if not points:
-            w = spectral.spectrum(s).eigenvalues  # one eigensolve serves the whole grid
+            # one eigensolve serves the whole grid
+            w = spectral.spectrum(s, vectors=False).eigenvalues
         points.append({"t": t, "trace": float(np.sum(np.exp(-t * w)))})
     rows = [(p["t"], p["trace"]) for p in points]
     emit(args, {"command": "trace", "points": points}, rows, ["t", "trace"])

@@ -662,6 +662,15 @@ def _tree_widths(degree: int, depth: int) -> list:
     return widths
 
 
+def tree_depth_fits(degree: int, depth: int) -> bool:
+    """Whether the depth ball passes the vertex cap, counted as building it counts."""
+    try:
+        _tree_widths(degree, depth)
+    except SizeOverflow:
+        return False
+    return True
+
+
 def _tree_section(degree: int, depth: int, c_origin: float, c_const: float) -> Section:
     # vertices in BFS order, one depth after the other
     widths = _tree_widths(degree, depth)

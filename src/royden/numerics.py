@@ -210,14 +210,17 @@ def solve_rank_one(A: SymOperator, o: int, rhs: np.ndarray, rel_tol: float = 1e-
 @dataclass(frozen=True)
 class DenseEigh:
     eigenvalues: np.ndarray  # ascending
-    eigenvectors: np.ndarray  # columns, M-orthonormal
+    eigenvectors: np.ndarray | None  # columns, M-orthonormal; None without vectors
 
 
-def dense_eigh(A: np.ndarray, M: np.ndarray) -> DenseEigh:
+def dense_eigh(A: np.ndarray, M: np.ndarray, vectors: bool = True) -> DenseEigh:
     """Full solution of A v = lambda M v for symmetric A, positive diagonal M.
 
     M is given as the diagonal vector. Eigenvectors come back M-orthonormal
-    (V^T diag(M) V = I). Sizes above DENSE_CAP are refused.
+    (V^T diag(M) V = I). With vectors=False only the eigenvalues are
+    computed (LAPACK dsyevr without vectors reduces to dsterf, far
+    cheaper on degenerate spectra) and eigenvectors is None. Sizes above
+    DENSE_CAP are refused.
     """
     A = np.asarray(A, dtype=float)
     M = np.asarray(M, dtype=float)
@@ -235,6 +238,9 @@ def dense_eigh(A: np.ndarray, M: np.ndarray) -> DenseEigh:
     B *= s[None, :]
     B += B.T
     B *= 0.5
+    if not vectors:
+        w = scipy.linalg.eigh(B.T, overwrite_a=True, eigvals_only=True)
+        return DenseEigh(eigenvalues=w, eigenvectors=None)
     w, V = scipy.linalg.eigh(B.T, overwrite_a=True)
     V *= s[:, None]
     return DenseEigh(eigenvalues=w, eigenvectors=V)

@@ -34,7 +34,7 @@ from .errors import (
     MonotonicityViolation,
     SameVertex,
 )
-from .graph import ExhaustionGenerator, Section, VertexFn
+from .graph import ExhaustionGenerator, Section, VertexFn, tree_depth_fits
 from .numerics import DENSE_CAP, SymOperator, grounded_solve, inverse_diagonal, solve_rank_one
 
 MONOTONE_SLACK = 1e-10
@@ -459,7 +459,14 @@ def default_gap_levels(gen: ExhaustionGenerator) -> tuple:
     # deep enough that a genuine positive gap has stopped drifting, while a
     # vanishing one (lattice without killing) still drops >10% per step
     if gen.family.startswith("tree"):
-        return (10, 12, 14)
+        degree = dict(gen.params).get("k")
+        if degree is None:
+            return (10, 12, 14)
+        # the deepest even depth up to 14 whose full level fits the vertex
+        # cap (k=3: 14, k=4: 12); if not even depth 6 fits, building it
+        # raises SizeOverflow
+        deepest = next((D for D in range(14, 4, -2) if tree_depth_fits(degree, D)), 6)
+        return (deepest - 4, deepest - 2, deepest)
     if gen.family.startswith("lattice"):
         return (6, 9, 12)
     return (2, 3, 4)
@@ -546,12 +553,15 @@ def uniform_transience_report(
     else:
         from .spectral import spectrum  # spectral imports this module
 
+        def bottom(sec: Section) -> float:  # lambda0 alone, no eigenvector
+            return float(spectrum(sec, k=1, vectors=False).eigenvalues[0])
+
         glv = _check_levels(gap_levels if gap_levels is not None else default_gap_levels(gen))
         # the Dirichlet ground state of a connected interior is simple and
         # positive, so constant on orbits: the orbit pencil has the same bottom
-        lams = [float(spectrum(gen.orbits(lv).section, k=1).eigenvalues[0]) for lv in glv[:-1]]
+        lams = [bottom(gen.orbits(lv).section) for lv in glv[:-1]]
         deepest, size = gen.orbits(glv[-1])
-        lams.append(float(spectrum(deepest, k=1).eigenvalues[0]))
+        lams.append(bottom(deepest))
         inter = deepest.interior
         delta = float(np.min(deepest.m[inter] / size[inter]))  # per vertex, not per orbit
         stabilized = (

@@ -41,19 +41,21 @@ DENSE_SHORTCUT = 512  # below this size the dense path beats Lanczos outright
 @dataclass(frozen=True)
 class SpectralResult:
     eigenvalues: np.ndarray  # ascending
-    eigenvectors: np.ndarray  # columns, M-orthonormal, rows follow interior
+    eigenvectors: np.ndarray | None  # columns, M-orthonormal, rows follow interior
     interior: np.ndarray
     section: Section
     measure_total: float
     method: str  # "dense" | "lanczos"
 
     def eigenfunction(self, i: int) -> VertexFn:
+        if self.eigenvectors is None:
+            raise InvalidParameter("eigenvectors were not computed (vectors=False)")
         values = np.zeros(self.section.n)
         values[self.interior] = self.eigenvectors[:, i]
         return VertexFn(self.section, values)
 
 
-def spectrum(s: Section, k: int | None = None) -> SpectralResult:
+def spectrum(s: Section, k: int | None = None, vectors: bool = True) -> SpectralResult:
     """Eigenvalues of the Dirichlet pencil, ascending.
 
     This is the one dispatch between the dense and the Lanczos route.
@@ -62,7 +64,8 @@ def spectrum(s: Section, k: int | None = None) -> SpectralResult:
     DENSE_SHORTCUT vertices or k >= interior size - 1, and returns the k
     smallest pairs; otherwise a shift-invert Lanczos run at sigma = 0
     finds them, which needs every interior component grounded (else
-    UngroundedComponent).
+    UngroundedComponent). With vectors=False neither route computes
+    eigenvectors, and the result's eigenvectors is None.
     """
     inter = s.interior
     ni = len(inter)
@@ -78,10 +81,11 @@ def spectrum(s: Section, k: int | None = None) -> SpectralResult:
     dense_wanted = k is None or ni <= DENSE_SHORTCUT or k >= ni - 1
     if dense_wanted:
         if ni <= DENSE_CAP:
-            sol = dense_eigh(A.dense(), mass)
+            sol = dense_eigh(A.dense(), mass, vectors=vectors)
             w, V = sol.eigenvalues, sol.eigenvectors
             if k is not None:
-                w, V = w[:k], V[:, :k]
+                w = w[:k]
+                V = None if V is None else V[:, :k]
             return SpectralResult(
                 eigenvalues=w,
                 eigenvectors=V,
@@ -97,18 +101,20 @@ def spectrum(s: Section, k: int | None = None) -> SpectralResult:
     s.ensure_grounded()  # the shift-invert factorization at 0 needs it
     # deterministic start vector
     v0 = np.ones(ni) / math.sqrt(ni)
-    w, V = eigsh(
+    out = eigsh(
         A.matrix,
         k=k,
         M=sp.diags(mass).tocsc(),
         sigma=0,
         which="LM",
         v0=v0,
+        return_eigenvectors=vectors,
     )
+    w, V = out if vectors else (out, None)
     order = np.argsort(w)
     return SpectralResult(
         eigenvalues=w[order],
-        eigenvectors=V[:, order],
+        eigenvectors=None if V is None else V[:, order],
         interior=inter,
         section=s,
         measure_total=total,
@@ -130,13 +136,31 @@ class BoundRow:
     slack: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenvalueBoundsReport:
-    rows: tuple
+    """One entry per removal count n = 0 .. interior size - 1, held as
+    arrays; rows and enumeration rebuild the per-row view on each read."""
+
+    order: np.ndarray  # interior vertex indices in removal order
+    remaining_mass: np.ndarray  # m(X minus the first n removed vertices)
+    bound: np.ndarray  # 1 / (C^2 remaining_mass)
+    eigenvalue: np.ndarray  # lambda_(n+1)
     passed: bool
     C: float
     min_cap: float
-    enumeration: tuple  # interior vertex indices in removal order
+
+    @property
+    def rows(self) -> tuple:
+        removed = [None] + self.order[:-1].tolist()
+        columns = (self.remaining_mass.tolist(), self.bound.tolist(), self.eigenvalue.tolist())
+        return tuple(
+            BoundRow(n, v, rm, b, lam, lam - b)
+            for n, (v, rm, b, lam) in enumerate(zip(removed, *columns))
+        )
+
+    @property
+    def enumeration(self) -> tuple:
+        return tuple(self.order.tolist())
 
 
 def eigenvalue_bounds_check(
@@ -146,11 +170,11 @@ def eigenvalue_bounds_check(
 
     enumeration is either "measure-decreasing" (greedy removal of heavy
     vertices first, the order that sharpens the bound fastest) or an
-    explicit permutation of the interior vertices.
+    explicit permutation of the interior vertices. Only the eigenvalues
+    are computed.
     """
-    spec = spectrum(s)
+    spec = spectrum(s, vectors=False)
     inter = spec.interior
-    ni = len(inter)
     order_pos = _resolve_enumeration(s, inter, enumeration)
     masses = s.m[inter][order_pos]
     total = float(np.sum(s.m[inter]))
@@ -158,32 +182,26 @@ def eigenvalue_bounds_check(
     const = sup_norm_constant(s, rel_tol=rel_tol)
     C2 = const.C**2
 
-    rows = []
-    passed = True
-    remaining = total
-    for n in range(ni):
-        lam = float(spec.eigenvalues[n])
-        bound = 1.0 / (C2 * remaining)
-        slack = lam - bound
-        if slack < -1e-9 * max(1.0, abs(lam)):
-            passed = False
-        rows.append(
-            BoundRow(
-                n=n,
-                removed_vertex=int(inter[order_pos[n - 1]]) if n > 0 else None,
-                remaining_mass=remaining,
-                bound=bound,
-                eigenvalue=lam,
-                slack=slack,
-            )
+    # remaining mass before each removal, subtracted in removal order
+    remaining = np.subtract.accumulate(np.concatenate(([total], masses[:-1])))
+    if not np.all(remaining > 0):
+        n = int(np.argmin(remaining > 0))
+        raise InvalidParameter(
+            f"remaining mass after {n} removals rounds to {remaining[n]:g}: "
+            "the vertex measures span more than double precision resolves"
         )
-        remaining -= float(masses[n])
+    bound = 1.0 / (C2 * remaining)
+    lam = spec.eigenvalues
+    slack = lam - bound
+    passed = not bool(np.any(slack < -1e-9 * np.maximum(1.0, np.abs(lam))))
     return EigenvalueBoundsReport(
-        rows=tuple(rows),
+        order=inter[order_pos],
+        remaining_mass=remaining,
+        bound=bound,
+        eigenvalue=lam,
         passed=passed,
         C=const.C,
         min_cap=const.min_cap,
-        enumeration=tuple(int(inter[p]) for p in order_pos),
     )
 
 
@@ -226,7 +244,7 @@ def heat_trace(s: Section, t: float) -> float:
     """Sum of exp(-t lambda_i) over the Dirichlet spectrum."""
     if t < 0:
         raise NegativeTime(f"t must be >= 0, got {t}")
-    spec = spectrum(s)
+    spec = spectrum(s, vectors=False)
     return float(np.sum(np.exp(-t * spec.eigenvalues)))
 
 
@@ -311,7 +329,7 @@ def spectral_gap_criterion(s: Section, trials: int = 32, seed: int = 0) -> Spect
     """
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
-    lam0 = float(spectrum(s, k=1).eigenvalues[0]) if s.grounded.all() else 0.0
+    lam0 = float(spectrum(s, k=1, vectors=False).eigenvalues[0]) if s.grounded.all() else 0.0
     inter = s.interior
     delta = float(np.min(s.m[inter]))
     scale = float(np.max(s.weighted_degree + s.c, initial=1.0))

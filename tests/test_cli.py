@@ -119,6 +119,14 @@ def test_ut_report_command(capsys):
     assert payload["evidence"] == "spectral-gap"
 
 
+@pytest.mark.parametrize("k, gap_levels", [(3, [10, 12, 14]), (4, [8, 10, 12])])
+def test_ut_report_tree_gap_levels_fit_the_vertex_cap(capsys, k, gap_levels):
+    # depth 14 of the 4-regular tree has about 9.6 million vertices, over the cap
+    payload = run_json(capsys, "ut-report", "--generator", f"tree:k={k}")
+    assert payload["details"]["gap_levels"] == gap_levels
+    assert (payload["verdict"], payload["evidence"]) == ("certified-UT", "spectral-gap")
+
+
 def test_dirichlet_decompose_maxcheck(capsys, graph_file, fn_file, tmp_path):
     bd = tmp_path / "bd.fn"
     bd.write_text("0 0.0\n6 1.0\n")

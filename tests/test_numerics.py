@@ -107,6 +107,9 @@ def test_dense_eigh_pencil():
     V = out.eigenvectors
     G = V.T @ (M[:, None] * V)
     np.testing.assert_allclose(G, np.eye(2), atol=1e-12)
+    values_only = dense_eigh(A, M, vectors=False)
+    assert values_only.eigenvectors is None
+    np.testing.assert_allclose(values_only.eigenvalues, expected, atol=1e-12)
 
 
 def test_dense_eigh_dimension_cap(monkeypatch):

@@ -313,3 +313,29 @@ def test_lanczos_spectrum_matches_generalized_eigh(s, data):
         got = R.spectrum(s, k=k)
     assert got.method == "lanczos"
     np.testing.assert_allclose(got.eigenvalues, want[:k], rtol=0.0, atol=1e-8 * np.abs(want).max())
+
+
+@PROPERTY_SETTINGS
+@given(sections(masses=True))
+def test_dense_eigenvalues_only_match_the_vectors_route(s):
+    assume(len(s.interior) >= 1)
+    want = R.spectrum(s)
+    atol = 1e-12 * np.abs(want.eigenvalues).max()
+    for k in (None, 1):
+        got = R.spectrum(s, k=k, vectors=False)
+        assert got.method == "dense" and got.eigenvectors is None
+        np.testing.assert_allclose(got.eigenvalues, want.eigenvalues[:k], rtol=0.0, atol=atol)
+
+
+@PROPERTY_SETTINGS
+@given(sections(masses=True), st.data())
+def test_lanczos_eigenvalues_only_match_the_vectors_route(s, data):
+    ni = len(s.interior)
+    assume(ni >= 3 and all(grounded for _, grounded in _reference_components(s)))
+    k = data.draw(st.integers(1, ni - 2), label="k")
+    radius = np.abs(_pencil_eigenvalues(s)).max()
+    with mock.patch.object(spectral, "DENSE_SHORTCUT", 0):
+        want = R.spectrum(s, k=k)
+        got = R.spectrum(s, k=k, vectors=False)
+    assert got.method == "lanczos" and got.eigenvectors is None
+    np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0.0, atol=1e-12 * radius)

@@ -1,9 +1,13 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import royden as R
+from royden.cli import main
+from royden.spectral import BoundRow
 from royden.errors import EmptyInterior, InvalidParameter, NegativeTime, UngroundedComponent
 
 from conftest import random_fn, random_section
@@ -15,6 +19,8 @@ def test_spectrum_path_oracle(path4):
     # eigenfunction extends by zero onto the mask
     phi = out.eigenfunction(0)
     assert phi.values[0] == 0.0 and phi.values[3] == 0.0
+    with pytest.raises(InvalidParameter):
+        R.spectrum(path4, vectors=False).eigenfunction(0)
 
 
 def test_spectrum_respects_measure(path4):
@@ -134,3 +140,87 @@ def test_ungrounded_section_has_exact_zero_gap(n):
     rep = R.spectral_gap_criterion(s, trials=2)
     assert not rep.applicable
     assert rep.lambda0 == 0.0
+
+
+def _per_row_reference(s, order, eigenvalues, C):
+    """Rows and verdict of the bounds check built one row at a time, the
+    way the report was built before it held arrays."""
+    remaining = float(np.sum(s.m[s.interior]))
+    rows, passed = [], True
+    for n in range(len(order)):
+        lam = float(eigenvalues[n])
+        bound = 1.0 / (C**2 * remaining)
+        slack = lam - bound
+        if slack < -1e-9 * max(1.0, abs(lam)):
+            passed = False
+        removed = int(order[n - 1]) if n > 0 else None
+        rows.append(BoundRow(n, removed, remaining, bound, lam, slack))
+        remaining -= float(s.m[order[n]])
+    return tuple(rows), passed
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bounds_report_matches_the_per_row_loop(seed):
+    rng = np.random.default_rng(seed)
+    s = random_section(rng, n_max=60, with_killing=bool(seed % 2), with_measure=True)
+    inter = s.interior
+    shuffled = rng.permutation(inter)
+    cases = [
+        ("measure-decreasing", inter[np.argsort(-s.m[inter], kind="stable")]),
+        ([s.labels[v] for v in shuffled], shuffled),
+    ]
+    for enumeration, order in cases:
+        rep = R.eigenvalue_bounds_check(s, enumeration)
+        # the same eigenvalues and constant feed both
+        rows, passed = _per_row_reference(s, order, rep.eigenvalue, rep.C)
+        assert rep.rows == rows
+        assert rep.passed is passed
+        assert rep.enumeration == tuple(int(v) for v in order)
+        for got, want in zip(rep.rows, rows):  # bit for bit, signed zeros included
+            assert got.remaining_mass.hex() == want.remaining_mass.hex()
+            assert got.bound.hex() == want.bound.hex()
+
+
+def test_bounds_refuses_a_remaining_mass_that_rounds_away():
+    # total = 1e20 + 1 rounds to 1e20, so removing the heavy vertex leaves 0
+    s = R.build_section(3, [(0, 1, 1.0), (1, 2, 1.0)], m={0: 1e20, 1: 1.0}, dirichlet=[2])
+    with pytest.raises(InvalidParameter, match="after 1 removals"):
+        R.eigenvalue_bounds_check(s)
+
+
+def test_bounds_report_fields_are_python_scalars(path4):
+    rep = R.eigenvalue_bounds_check(path4)
+    assert type(rep.passed) is bool and type(rep.C) is float and type(rep.min_cap) is float
+    assert all(type(v) is int for v in rep.enumeration)
+    for row in rep.rows:
+        assert type(row.n) is int
+        assert row.removed_vertex is None if row.n == 0 else type(row.removed_vertex) is int
+        for value in (row.remaining_mass, row.bound, row.eigenvalue, row.slack):
+            assert type(value) is float
+
+
+def test_bounds_command_keeps_its_keys_and_types(capsys, tmp_path):
+    path = tmp_path / "z1r3.graph"
+    path.write_text(R.serialize_graph_file(R.generate_lattice(1, 3)))
+    assert main(["bounds", "--graph", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload) == ["C", "command", "enumeration", "min_cap", "passed", "rows"]
+    assert payload["passed"] is True
+    assert all(type(v) is str for v in payload["enumeration"])
+    assert [row["n"] for row in payload["rows"]] == list(range(5))
+    for row in payload["rows"]:
+        assert sorted(row) == ["bound", "eigenvalue", "n", "remaining_mass", "slack"]
+        assert all(type(row[key]) is float for key in ("bound", "eigenvalue", "remaining_mass", "slack"))
+
+
+def test_bounds_report_retains_arrays_not_row_objects():
+    s = R.generate_lattice(3, 6)  # 1,331 interior vertices
+    R.eigenvalue_bounds_check(s)  # fill the section's own caches first
+    tracemalloc.start()
+    try:
+        rep = R.eigenvalue_bounds_check(s)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rep.eigenvalue) == 1331
+    assert retained < 0.3 * 2**20
