@@ -143,32 +143,32 @@ def cg_solve(A: SymOperator, rhs: np.ndarray, rel_tol: float = 1e-10) -> CGResul
     )
 
 
-def cholesky(A: SymOperator) -> np.ndarray:
-    """Upper Cholesky factor of A, written over a single dense copy.
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of the dense symmetric a, written over a.
 
-    The copy is in Fortran order so LAPACK dpotrf factors it in place;
-    the strict lower triangle keeps A's entries. Sizes above DENSE_CAP
-    are refused, and SingularOperator is raised when A is not
-    numerically positive definite.
+    a is in Fortran order so LAPACK dpotrf factors it in place; the
+    strict lower triangle keeps a's entries. Sizes above DENSE_CAP are
+    refused, and SingularOperator is raised when a is not numerically
+    positive definite.
     """
-    n = A.dimension
+    n = a.shape[0]
     if n > DENSE_CAP:
         raise DimensionCap(f"dense factorization of size {n} above cap {DENSE_CAP}")
-    if not np.isfinite(A.matrix.data).all():
+    if not np.isfinite(a).all():
         raise InvalidParameter("operator has non-finite entries")
-    factor, info = lapack.dpotrf(A.matrix.toarray(order="F"), overwrite_a=1, clean=0)
+    factor, info = lapack.dpotrf(a, overwrite_a=1, clean=0)
     if info > 0:
         raise SingularOperator(f"leading minor of order {info} is not positive definite")
     return factor
 
 
-def inverse_diagonal(A: SymOperator) -> np.ndarray:
-    """diag(A^(-1)) for positive definite A, through cholesky().
+def inverse_diagonal(a: np.ndarray) -> np.ndarray:
+    """diag(a^(-1)) for the dense positive definite a, through cholesky().
 
     LAPACK dpotri turns the factor into the inverse in place, so the
-    whole computation holds one n x n array.
+    whole computation works in a and allocates no n x n array.
     """
-    inverse, info = lapack.dpotri(cholesky(A), overwrite_c=1)
+    inverse, info = lapack.dpotri(cholesky(a), overwrite_c=1)
     if info > 0:
         raise SingularOperator(f"factor has a zero pivot at {info}")
     return inverse.diagonal().copy()
@@ -189,7 +189,7 @@ def grounded_solve(A: SymOperator, rhs: np.ndarray, rel_tol: float = 1e-10) -> C
         if A.dimension > DENSE_CAP:
             raise
         try:
-            x, _ = lapack.dpotrs(cholesky(A), rhs)
+            x, _ = lapack.dpotrs(cholesky(A.matrix.toarray(order="F")), rhs)
         except SingularOperator:
             raise failure from None
         residual = float(np.linalg.norm(rhs - A.apply(x)))

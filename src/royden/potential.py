@@ -35,7 +35,7 @@ from .errors import (
     SameVertex,
 )
 from .graph import ExhaustionGenerator, Section, VertexFn, tree_depth_fits
-from .numerics import DENSE_CAP, SymOperator, grounded_solve, inverse_diagonal, solve_rank_one
+from .numerics import DENSE_CAP, grounded_solve, inverse_diagonal, solve_rank_one
 
 MONOTONE_SLACK = 1e-10
 
@@ -97,16 +97,23 @@ def interior_capacities(s: Section, rel_tol: float = 1e-10) -> np.ndarray:
     """
     inter = s.interior
     caps = np.zeros(len(inter))
-    A = energy_matrix(s, inter).matrix  # rows and columns follow inter
-    large = []
+    # the interior with its components laid end to end: each component's
+    # rows are a contiguous run of the one energy matrix, and its entries
+    # fall inside its own diagonal block
+    order = np.concatenate(s.interior_members) if len(inter) else inter
+    A = energy_matrix(s, order).matrix
+    rows = np.repeat(np.arange(len(order)), np.diff(A.indptr))
+    pos = np.searchsorted(inter, order)
+    large, b = [], 0
     for cid, comp in enumerate(s.interior_members):
-        if not s.grounded[cid]:
-            continue
-        pos = np.searchsorted(inter, comp)
-        if len(comp) <= DENSE_CAP:
-            caps[pos] = 1.0 / inverse_diagonal(SymOperator(A[pos][:, pos]))
-        else:
-            large.extend(pos.tolist())
+        a, b = b, b + len(comp)
+        if s.grounded[cid] and len(comp) > DENSE_CAP:
+            large.extend(pos[a:b].tolist())
+        elif s.grounded[cid]:
+            lo, hi = A.indptr[a], A.indptr[b]
+            block = np.zeros((b - a, b - a), order="F")
+            block[rows[lo:hi] - a, A.indices[lo:hi] - a] = A.data[lo:hi]
+            caps[pos[a:b]] = 1.0 / inverse_diagonal(block)
     # pass labels: index_of resolves labels first, and int labels (1d
     # lattice coordinates) need not agree with raw indices
     caps[large] = _caps(s, [s.labels[int(inter[p])] for p in large], rel_tol)

@@ -177,19 +177,14 @@ def eigenvalue_bounds_check(
     inter = spec.interior
     order_pos = _resolve_enumeration(s, inter, enumeration)
     masses = s.m[inter][order_pos]
-    total = float(np.sum(s.m[inter]))
 
     const = sup_norm_constant(s, rel_tol=rel_tol)
     C2 = const.C**2
 
-    # remaining mass before each removal, subtracted in removal order
-    remaining = np.subtract.accumulate(np.concatenate(([total], masses[:-1])))
-    if not np.all(remaining > 0):
-        n = int(np.argmin(remaining > 0))
-        raise InvalidParameter(
-            f"remaining mass after {n} removals rounds to {remaining[n]:g}: "
-            "the vertex measures span more than double precision resolves"
-        )
+    # remaining mass before each removal: the sum of the masses not yet
+    # removed, added from the last removed up, so light masses removed
+    # late are never lost against heavy ones subtracted from a total
+    remaining = np.cumsum(masses[::-1])[::-1]
     bound = 1.0 / (C2 * remaining)
     lam = spec.eigenvalues
     slack = lam - bound

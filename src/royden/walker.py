@@ -91,66 +91,67 @@ class WalkEstimate:
 
 
 class _Transitions:
-    """Alias tables (Walker 1977, Vose 1991) over padded CSR slots.
+    """Alias tables (Walker 1977, Vose 1991) over the section's CSR slots.
 
-    Vertex v owns the maxdeg slots v*maxdeg .. v*maxdeg + maxdeg - 1. The
-    first deg(v) hold its neighbors in CSR order; the rest are padding
-    that no draw reaches. Slot j of v keeps accept[j] of its 1/deg(v)
-    share for nbr[j] and lends the rest to alias[j], so that
+    Vertex v owns the slots indptr[v] .. indptr[v + 1] - 1 of s.adj, and
+    nbr is adj.indices, so the tables take O(edges) memory. Slot j of v
+    keeps accept[j] of its 1/deg(v) share for nbr[j] and lends the rest
+    to alias[j], so that
 
         P(v -> y) = sum_j [accept_j 1{nbr_j = y} + (1 - accept_j) 1{alias_j = y}] / deg(v)
                   = b(v, y) / pi(v).
 
     The tables come from Vose's pairing on the scaled masses
     q_j = deg(v) b(v, nbr_j) / pi(v), which average 1 over a row: each
-    round closes one slot with q < 1 per row, lending its deficit to an
-    open slot with q >= 1. A row with d slots is done within d - 1
-    rounds. On a row of equal weights q is 1 up to rounding, and exactly
-    1 for the unit weights of lattices and trees, so every accept is 1.
+    round closes the first slot with q < 1 of each row, lending its
+    deficit to the row's first slot with q >= 1, and touches only the
+    slots of rows that still pair. A row with d slots is done within
+    d - 1 rounds. On a row of equal weights q is 1 up to rounding, and
+    exactly 1 for the unit weights of lattices and trees, so every
+    accept is 1.
     """
 
     def __init__(self, s: Section):
         adj = s.adj
-        n = s.n
         deg = np.diff(adj.indptr)
-        maxdeg = int(deg.max()) if n else 0
-        # row-major boolean indexing fills each row's real slots in CSR order
-        is_open = np.arange(maxdeg) < deg[:, None]
-        nbr = np.zeros((n, maxdeg), dtype=np.int64)
-        nbr[is_open] = adj.indices
         pi = s.weighted_degree
-        q = np.zeros((n, maxdeg))
-        q[is_open] = adj.data * np.repeat(deg / np.where(pi > 0, pi, 1.0), deg)
-        accept = np.ones((n, maxdeg))
+        q = adj.data * np.repeat(deg / np.where(pi > 0, pi, 1.0), deg)
+        nbr = adj.indices
+        accept = np.ones(len(nbr))
         alias = nbr.copy()
 
-        rows = np.flatnonzero((is_open & (q < 1.0)).any(axis=1))
+        rows = np.unique(np.searchsorted(adj.indptr, np.flatnonzero(q < 1.0), side="right") - 1)
         while len(rows):
-            qr, opr = q[rows], is_open[rows]
-            small, large = opr & (qr < 1.0), opr & (qr >= 1.0)
-            paired = small.any(axis=1) & large.any(axis=1)
+            # the slots of rows, row after row; a row's first small (large)
+            # slot is the least index among them where the flag holds, and
+            # a closed slot's q is nan, neither small nor large
+            lens = deg[rows]
+            starts = np.cumsum(lens) - lens
+            slots = np.arange(lens.sum()) + np.repeat(adj.indptr[rows] - starts, lens)
+            qs, none = q[slots], len(slots)
+            lo = np.minimum.reduceat(np.where(qs < 1.0, np.arange(none), none), starts)
+            hi = np.minimum.reduceat(np.where(qs >= 1.0, np.arange(none), none), starts)
+            paired = (lo < none) & (hi < none)
             rows = rows[paired]
-            lo, hi = small[paired].argmax(axis=1), large[paired].argmax(axis=1)
-            q_lo = q[rows, lo]
-            accept[rows, lo] = q_lo
-            alias[rows, lo] = nbr[rows, hi]
-            is_open[rows, lo] = False
-            q[rows, hi] = (q[rows, hi] + q_lo) - 1.0
+            lo, hi = slots[lo[paired]], slots[hi[paired]]
+            accept[lo] = q[lo]
+            alias[lo] = nbr[hi]
+            q[hi] = (q[hi] + q[lo]) - 1.0
+            q[lo] = np.nan
         # slots still open carry q = 1 up to rounding and keep accept = 1
 
-        self.maxdeg = maxdeg
-        self.deg = deg.astype(float)
-        self.nbr = nbr.ravel()
-        self.accept = accept.ravel()
-        self.alias = alias.ravel()
+        self.start, self.deg = adj.indptr[:-1], deg.astype(float)
+        self.nbr, self.accept, self.alias = nbr, accept, alias
 
     def step(self, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next vertex of each walker at pos, one uniform u in [0, 1) each."""
         x = u * self.deg.take(pos)
-        col = x.astype(np.int64)
-        slot = pos * self.maxdeg + col
-        nxt = self.nbr.take(slot)
-        lend = np.flatnonzero(x - col >= self.accept.take(slot))
+        slot = x.astype(np.intp)
+        x -= slot  # the fractional part picks the neighbor or the alias
+        slot += self.start.take(pos)
+        # positions in intp: numpy casts a narrower index array at every gather
+        nxt = self.nbr.take(slot).astype(np.intp)
+        lend = np.flatnonzero(x >= self.accept.take(slot))
         if len(lend):
             nxt[lend] = self.alias.take(slot[lend])
         return nxt
@@ -162,14 +163,16 @@ def _finish(trans: _Transitions, mask: np.ndarray, o: int, v: int, key: np.uint6
     The same draw as _Transitions.step in python scalars, on the same
     uniforms, in blocks of steps that double up to _CHUNK.
     """
-    deg, nbr, accept, alias = map(memoryview, (trans.deg, trans.nbr, trans.accept, trans.alias))
-    hit, maxdeg, block = memoryview(mask), trans.maxdeg, 64
+    deg, start, nbr, accept, alias = map(
+        memoryview, (trans.deg, trans.start, trans.nbr, trans.accept, trans.alias)
+    )
+    hit, block = memoryview(mask), 64
     while step < _STEP_LIMIT:
         stop = min(step + block, _STEP_LIMIT)
         for u in _trial_uniforms(key, step, stop):
             x = u * deg[v]
             col = int(x)
-            slot = v * maxdeg + col
+            slot = start[v] + col
             v = nbr[slot] if x - col < accept[slot] else alias[slot]
             if hit[v]:
                 return 1
@@ -219,11 +222,14 @@ def escape_probability(
     """Estimate P(hit the mask before returning to o) for the b-walk from o.
 
     Requires identically zero killing (the walk has no death mechanism)
-    and a mask reachable from o. The estimate is deterministic in
+    and a mask reachable from o. Chunks of _CHUNK trials run threads at a
+    time (threads >= 1), and the estimate is deterministic in
     (section, o, trials, seed) for any thread count.
     """
     if trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
+    if threads < 1:
+        raise InvalidParameter(f"threads must be >= 1, got {threads}")
     if np.any(s.c > 0):
         raise KillingUnsupported("escape sampling needs c identically zero")
     oi = s.index_of(o)
@@ -240,14 +246,8 @@ def escape_probability(
     trans = _Transitions(s)
     mask = np.asarray(s.dirichlet, dtype=bool)
     ranges = [(a, min(a + _CHUNK, trials)) for a in range(0, trials, _CHUNK)]
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda r: _run_chunk(trans, mask, oi, seed, r[0], r[1]), ranges)
-            )
-        successes = int(sum(parts))
-    else:
-        successes = sum(_run_chunk(trans, mask, oi, seed, a, b) for a, b in ranges)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        successes = sum(pool.map(lambda r: _run_chunk(trans, mask, oi, seed, *r), ranges))
 
     p = successes / trials
     stderr = float(np.sqrt(p * (1.0 - p) / trials))

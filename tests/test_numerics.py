@@ -124,18 +124,18 @@ def test_inverse_diagonal_matches_dense_inverse():
         n = int(rng.integers(1, 40))
         B = rng.normal(size=(n, n))
         A = B @ B.T + n * np.eye(n)
-        got = inverse_diagonal(op(A))
+        got = inverse_diagonal(np.array(A, order="F"))  # overwritten
         np.testing.assert_allclose(got, np.diag(np.linalg.inv(A)), rtol=1e-12)
 
 
 def test_cholesky_refuses_singular_and_non_finite(monkeypatch):
     with pytest.raises(SingularOperator):
-        cholesky(op([[1.0, -1.0], [-1.0, 1.0]]))
+        cholesky(np.asfortranarray([[1.0, -1.0], [-1.0, 1.0]]))
     with pytest.raises(InvalidParameter):
-        cholesky(op([[1.0, np.nan], [np.nan, 1.0]]))
+        cholesky(np.asfortranarray([[1.0, np.nan], [np.nan, 1.0]]))
     monkeypatch.setattr(numerics, "DENSE_CAP", 5)
     with pytest.raises(DimensionCap):
-        cholesky(op(np.eye(10)))
+        cholesky(np.eye(10, order="F"))
 
 
 def _hard_system():

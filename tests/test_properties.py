@@ -2,7 +2,8 @@
 capacities, metrics, Dirichlet solves and spectra built on them, against
 brute-force references and dense inverse, pseudo-inverse or generalized
 eigenvalue oracles on random sections; and the walker's alias tables
-against the transition probabilities b(v, y) / pi(v).
+against the transition probabilities b(v, y) / pi(v) and, bit for bit,
+against Vose's pairing on rows padded to the largest degree.
 
 Sections have several interior components, some touching the mask, some
 carrying killing and some with neither; weights span 10^-3..10^3 (10^-6..
@@ -265,17 +266,59 @@ def test_solve_dirichlet_matches_dense_inverse(s, data):
     np.testing.assert_allclose(f, want, rtol=0.0, atol=1e-8 * np.abs(want).max())
 
 
+def _padded_alias_tables(s):
+    """Vose's pairing over rows padded to the largest degree, the layout
+    the walker used before its tables moved onto the CSR slots: accept
+    and alias per real slot, in CSR order."""
+    adj = s.adj
+    deg = np.diff(adj.indptr)
+    maxdeg = int(deg.max()) if s.n else 0
+    is_open = np.arange(maxdeg) < deg[:, None]
+    real = is_open.copy()
+    nbr = np.zeros((s.n, maxdeg), dtype=np.int64)
+    nbr[is_open] = adj.indices
+    pi = s.weighted_degree
+    q = np.zeros((s.n, maxdeg))
+    q[is_open] = adj.data * np.repeat(deg / np.where(pi > 0, pi, 1.0), deg)
+    accept = np.ones((s.n, maxdeg))
+    alias = nbr.copy()
+    rows = np.flatnonzero((is_open & (q < 1.0)).any(axis=1))
+    while len(rows):
+        qr, opr = q[rows], is_open[rows]
+        small, large = opr & (qr < 1.0), opr & (qr >= 1.0)
+        paired = small.any(axis=1) & large.any(axis=1)
+        rows = rows[paired]
+        lo, hi = small[paired].argmax(axis=1), large[paired].argmax(axis=1)
+        q_lo = q[rows, lo]
+        accept[rows, lo] = q_lo
+        alias[rows, lo] = nbr[rows, hi]
+        is_open[rows, lo] = False
+        q[rows, hi] = (q[rows, hi] + q_lo) - 1.0
+    return accept[real], alias[real]
+
+
+@PROPERTY_SETTINGS
+@given(sections(weight=WIDE_WEIGHT))
+def test_alias_tables_match_the_padded_pairing(s):
+    # the same pairs in the same rounds: every accept bit and every alias
+    trans = walker._Transitions(s)
+    accept, alias = _padded_alias_tables(s)
+    assert trans.nbr.tolist() == s.adj.indices.tolist()
+    assert trans.accept.tobytes() == accept.tobytes()
+    assert trans.alias.tolist() == alias.tolist()
+
+
 @PROPERTY_SETTINGS
 @given(sections(weight=WIDE_WEIGHT))
 def test_alias_tables_rebuild_the_transition_probabilities(s):
     deg = np.diff(s.adj.indptr)
-    # leaves and rows shorter than the widest one (padded) in every example
+    # leaves and rows shorter than the widest one in every example
     assume((deg == 1).any() and (deg < deg.max()).any())
     trans = walker._Transitions(s)
     assert ((trans.accept >= 0.0) & (trans.accept <= 1.0)).all()
     W = s.adj.toarray()
     for v in np.flatnonzero(deg):
-        slots = v * trans.maxdeg + np.arange(deg[v])
+        slots = np.arange(s.adj.indptr[v], s.adj.indptr[v + 1])
         accept = trans.accept[slots]
         P = np.zeros(s.n)
         np.add.at(P, trans.nbr[slots], accept)

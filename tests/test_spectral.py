@@ -144,18 +144,22 @@ def test_ungrounded_section_has_exact_zero_gap(n):
 
 def _per_row_reference(s, order, eigenvalues, C):
     """Rows and verdict of the bounds check built one row at a time, the
-    way the report was built before it held arrays."""
-    remaining = float(np.sum(s.m[s.interior]))
+    way the report was built before it held arrays. The remaining masses
+    are suffix sums in removal order, added from the last removed up."""
+    remaining = [0.0] * len(order)
+    acc = 0.0
+    for n in reversed(range(len(order))):
+        acc += float(s.m[order[n]])
+        remaining[n] = acc
     rows, passed = [], True
     for n in range(len(order)):
         lam = float(eigenvalues[n])
-        bound = 1.0 / (C**2 * remaining)
+        bound = 1.0 / (C**2 * remaining[n])
         slack = lam - bound
         if slack < -1e-9 * max(1.0, abs(lam)):
             passed = False
         removed = int(order[n - 1]) if n > 0 else None
-        rows.append(BoundRow(n, removed, remaining, bound, lam, slack))
-        remaining -= float(s.m[order[n]])
+        rows.append(BoundRow(n, removed, remaining[n], bound, lam, slack))
     return tuple(rows), passed
 
 
@@ -182,10 +186,13 @@ def test_bounds_report_matches_the_per_row_loop(seed):
 
 
 def test_bounds_refuses_a_remaining_mass_that_rounds_away():
-    # total = 1e20 + 1 rounds to 1e20, so removing the heavy vertex leaves 0
-    s = R.build_section(3, [(0, 1, 1.0), (1, 2, 1.0)], m={0: 1e20, 1: 1.0}, dirichlet=[2])
-    with pytest.raises(InvalidParameter, match="after 1 removals"):
-        R.eigenvalue_bounds_check(s)
+    # 1e20 + light rounds to 1e20 or 1e20 + 16384, yet once the heavy
+    # vertex is removed the light vertex's own mass remains, not the
+    # 0 or 16384 a running difference from the total leaves
+    for light in (1.0, 1e4):
+        s = R.build_section(3, [(0, 1, 1.0), (1, 2, 1.0)], m={0: 1e20, 1: light}, dirichlet=[2])
+        rep = R.eigenvalue_bounds_check(s)
+        assert rep.remaining_mass.tolist() == [1e20 + light, light]
 
 
 def test_bounds_report_fields_are_python_scalars(path4):

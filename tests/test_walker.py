@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,9 @@ def test_validations(p3_end_masked, killed_point):
         R.escape_probability(p3_end_masked, 0, trials=0, seed=0)
     with pytest.raises(InvalidParameter):
         R.escape_probability(p3_end_masked, 2, trials=10, seed=0)  # masked start
+    for threads in (0, -1):
+        with pytest.raises(InvalidParameter, match="threads"):
+            R.escape_probability(p3_end_masked, 0, trials=10, seed=0, threads=threads)
     with pytest.raises(KillingUnsupported):
         R.escape_probability(killed_point, 0, trials=10, seed=0)
     free = R.build_section(2, [(0, 1, 1.0)])
@@ -118,13 +122,26 @@ def test_equal_weight_counts_are_pinned():
 
 @pytest.mark.parametrize("deg", range(1, 65))
 def test_largest_uniform_lands_on_a_real_slot(deg):
-    # the hub has deg leaves and sets maxdeg, so a column of deg would
-    # read the next row; u = 1 - 2^-53 is the largest uniform drawn
+    # the hub's slots are followed by the first leaf's, so a column of deg
+    # would read the next row; u = 1 - 2^-53 is the largest uniform drawn
     s = R.build_section(deg + 1, [(0, v, 1.0) for v in range(1, deg + 1)], dirichlet=[1])
     trans = walker._Transitions(s)
     hub = np.zeros(2, dtype=np.int64)
     nxt = trans.step(hub, np.array([0.0, 1.0 - 2.0**-53]))
     assert nxt.tolist() == [1, deg]
+
+
+def test_alias_tables_grow_with_edges_not_with_the_widest_row():
+    # rows padded to the hub's degree held 4,002,000 slots here
+    s = R.build_section(2001, [(0, v, 1.0) for v in range(1, 2001)], dirichlet=[1])
+    s.weighted_degree  # the section's own cache, not the tables'
+    tracemalloc.start()
+    try:
+        walker._Transitions(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _weight_trap():
