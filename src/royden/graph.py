@@ -197,6 +197,13 @@ class Section:
         cids = self.interior_components[inter]
         return np.bincount(cids, weights=grounding[inter], minlength=len(self.interior_members)) > 0
 
+    @cached_property
+    def operators(self) -> dict:
+        """Energy operators of this section's components, kept by
+        royden.potential so repeated metric queries share one operator
+        and its factor."""
+        return {}
+
     def ensure_grounded(self) -> None:
         """Raise UngroundedComponent unless every interior component is
         grounded, i.e. the interior energy matrix is positive definite."""

@@ -1,20 +1,27 @@
 """Deterministic linear algebra kernels.
 
-Conjugate gradients with diagonal preconditioning is the solver behind
-every metric and Dirichlet computation; it reports its iteration count
-and final residual so callers can surface them. Dense Cholesky
-(LAPACK dpotrf, worked in place on one dense copy) is the one dense
-route for grounded operators up to DENSE_CAP: it gives the diagonal of
-the inverse for interior capacities and takes over a grounded solve
-that CG gave up on. Dense eigensolves reduce the generalized pencil
-(A, M) with diagonal M to an ordinary symmetric problem through the
-M^(-1/2) similarity.
+SymOperator.solve is the one solve against a grounded energy operator.
+An operator's first solve runs conjugate gradients with diagonal
+preconditioning, which reports its iteration count and final residual.
+From the second solve on, or as soon as CG stalls or runs out of
+iterations, a SuperLU factor answers; it is built once, on first need,
+and kept with the operator, when the operator's reverse Cuthill-McKee
+envelope (an estimate of the factor's fill) is at most DIRECT_CAP
+entries. Every answer, on either route, is accepted only when its true
+residual meets the relative tolerance. solve_rank_one adds a pin
+e_o e_o^T by a Sherman-Morrison update, two solves against the held
+operator. Dense Cholesky (LAPACK dpotrf, worked in place on one dense
+copy) gives the diagonal of the inverse for interior capacities up to
+DENSE_CAP. Dense eigensolves reduce the generalized pencil (A, M) with
+diagonal M to an ordinary symmetric problem through the M^(-1/2)
+similarity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -24,19 +31,37 @@ from scipy.linalg import lapack
 from .errors import DimensionCap, InvalidParameter, NoConvergence, SingularOperator
 
 DENSE_CAP = 4000
+# envelope entries of the largest operator the direct route factors:
+# about 1 s to factor on a 2-vCPU machine (Z^3 r=15 interior, 11.4 M
+# entries, 0.86 s; a random 4-regular graph on 8,000 vertices, 13.1 M,
+# 1.05 s); on those the factor held fewer entries than the envelope
+DIRECT_CAP = 12_000_000
+# CG stalls when its smallest residual has not fallen to STALL_DROP of its
+# value STALL_WINDOW of the iteration budget earlier. Chosen from residual
+# traces: no solve of the benchmark's exhaust, cli or sweep workloads
+# stalls, nor one on Z^2 and Z^3 sections with weights up to 10^+-2,
+# while Z^2 sections at 10^+-3 and 10^+-6, which exhaust the budget,
+# stall after 7-20% of it
+STALL_WINDOW = 0.1
+STALL_DROP = 0.25
+SYMMETRIZE_TILE = 256
 
 
 class SymOperator:
     """A symmetric positive semidefinite operator backed by a CSR matrix.
 
     apply() uses scipy's fixed-order matvec, so repeated runs are
-    bit-identical on the same inputs.
+    bit-identical on the same inputs. solve() answers A x = rhs for a
+    grounded (positive definite) operator and keeps the sparse factor it
+    builds, so an operator held by its caller is factored at most once.
     """
 
     def __init__(self, matrix: sp.spmatrix):
         self._matrix = sp.csr_matrix(matrix)
         if self._matrix.shape[0] != self._matrix.shape[1]:
             raise InvalidParameter("operator matrix must be square")
+        self._solves = 0
+        self._lu = None  # the SuperLU factor; False once it cannot be built
 
     @property
     def dimension(self) -> int:
@@ -55,6 +80,91 @@ class SymOperator:
     def dense(self) -> np.ndarray:
         return self._matrix.toarray()
 
+    def solve(self, rhs: np.ndarray, rel_tol: float = 1e-10) -> CGResult:
+        """Solve A x = rhs, choosing the route.
+
+        The first solve runs CG, which hands over to the factor once it
+        stalls (see cg_solve) or runs out of iterations; the result then
+        carries the CG iterations spent. Later solves use the factor
+        first. A factor answer that misses rel_tol gives way to CG with
+        its whole budget, so no answer CG alone would find is lost; when
+        neither route meets rel_tol, CG's NoConvergence is raised.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (self.dimension,):
+            raise InvalidParameter(f"rhs has shape {rhs.shape}, expected ({self.dimension},)")
+        self._solves += 1
+        if self._solves > 1:
+            got = self._direct(rhs, rel_tol)
+            return got if got is not None else cg_solve(self, rhs, rel_tol=rel_tol)
+        try:
+            return cg_solve(self, rhs, rel_tol=rel_tol, stall_exit=self._factorable)
+        except NoConvergence as failure:
+            got = self._direct(rhs, rel_tol, failure.iterations)
+            if got is not None:
+                return got
+            if failure.iterations == default_max_iter(self.dimension):
+                raise
+            return cg_solve(self, rhs, rel_tol=rel_tol)  # stalled, and the factor missed
+
+    def _factorable(self) -> bool:
+        return self._factor() is not None
+
+    def _factor(self):
+        """The SuperLU factor, built on first call; None when it cannot be.
+
+        It is refused above DIRECT_CAP envelope entries, and when SuperLU
+        finds the matrix singular or a pivot is not positive (with
+        symmetric diagonal pivots that means the matrix is not positive
+        definite).
+        """
+        if self._lu is None:
+            self._lu = False
+            if _envelope(self._matrix) <= DIRECT_CAP:
+                from scipy.sparse.linalg import splu
+
+                try:
+                    lu = splu(
+                        self._matrix.tocsc(),
+                        permc_spec="MMD_AT_PLUS_A",
+                        diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True},
+                    )
+                except RuntimeError:  # exactly singular
+                    return None
+                if np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0).all():
+                    self._lu = lu
+        return self._lu if self._lu is not False else None
+
+    def _direct(self, rhs: np.ndarray, rel_tol: float, iterations: int = 0) -> CGResult | None:
+        """The factor's answer, or None when there is no factor or its
+        true residual misses rel_tol. Like cg_solve it works on rhs
+        scaled by a power of two, so the residual norm neither underflows
+        nor overflows."""
+        lu = self._factor()
+        if lu is None:
+            return None
+        shift = math.frexp(float(np.max(np.abs(rhs), initial=0.0)))[1]
+        b = np.ldexp(rhs, -shift)
+        x = lu.solve(b)
+        residual = float(np.linalg.norm(b - self.apply(x)))
+        if not residual <= rel_tol * float(np.linalg.norm(b)):
+            return None
+        return CGResult(np.ldexp(x, shift), iterations, math.ldexp(residual, shift))
+
+
+def _envelope(a: sp.csr_matrix) -> int:
+    """Entries of the lower envelope of a, diagonal included, in reverse
+    Cuthill-McKee order: a factor's fill estimated in O(nnz)."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    n = a.shape[0]
+    p = reverse_cuthill_mckee(a, symmetric_mode=True)
+    b = a[p][:, p].tocoo()
+    first = np.arange(n)
+    np.minimum.at(first, b.row, b.col)
+    return int(np.sum(np.arange(n) - first)) + n
+
 
 @dataclass(frozen=True)
 class CGResult:
@@ -67,7 +177,12 @@ def default_max_iter(dimension: int) -> int:
     return int(20 * math.isqrt(max(dimension, 1)) + 200)
 
 
-def cg_solve(A: SymOperator, rhs: np.ndarray, rel_tol: float = 1e-10) -> CGResult:
+def cg_solve(
+    A: SymOperator,
+    rhs: np.ndarray,
+    rel_tol: float = 1e-10,
+    stall_exit: Callable[[], bool] | None = None,
+) -> CGResult:
     """Solve A x = rhs by preconditioned conjugate gradients.
 
     Convergence means ||A x - rhs|| <= rel_tol * ||rhs|| in the Euclidean
@@ -77,12 +192,19 @@ def cg_solve(A: SymOperator, rhs: np.ndarray, rel_tol: float = 1e-10) -> CGResul
     rhs scaled by a power of two to a peak in [0.5, 1), which is exact,
     so tiny or huge data cannot underflow or overflow in its inner
     products.
+
+    With stall_exit given, CG may also stop early: once its smallest
+    residual so far has not fallen to STALL_DROP of what it was a
+    STALL_WINDOW share of the budget earlier, stall_exit() is asked (the
+    first time only), and if it says True, NoConvergence is raised with
+    the iterations spent. A caller with another route hands over there.
     """
     n = A.dimension
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (n,):
         raise InvalidParameter(f"rhs has shape {rhs.shape}, expected ({n},)")
     max_iter = default_max_iter(n)
+    window = int(STALL_WINDOW * max_iter)
 
     peak = float(np.max(np.abs(rhs), initial=0.0))
     if peak == 0.0:
@@ -107,6 +229,7 @@ def cg_solve(A: SymOperator, rhs: np.ndarray, rel_tol: float = 1e-10) -> CGResul
     p = z.copy()
     rz = float(r @ z)
     r_norm = b_norm
+    lowest = [b_norm]  # lowest[k]: the smallest residual after k iterations
 
     for it in range(1, max_iter + 1):
         Ap = A.apply(p)
@@ -129,6 +252,17 @@ def cg_solve(A: SymOperator, rhs: np.ndarray, rel_tol: float = 1e-10) -> CGResul
                 return CGResult(np.ldexp(x, shift), it, math.ldexp(true_norm, shift))
             r = true_r
             r_norm = true_norm
+        if stall_exit is not None:
+            lowest.append(min(lowest[-1], r_norm))
+            if 0 < window <= it and lowest[it] > STALL_DROP * lowest[it - window]:
+                if stall_exit():
+                    raise NoConvergence(
+                        f"stalled after {it} iterations (residual "
+                        f"{math.ldexp(r_norm, shift):g}, target {math.ldexp(target, shift):g})",
+                        iterations=it,
+                        residual=math.ldexp(r_norm, shift),
+                    )
+                stall_exit = None
         z = inv_diag * r
         rz_next = float(r @ z)
         beta = rz_next / rz
@@ -174,37 +308,35 @@ def inverse_diagonal(a: np.ndarray) -> np.ndarray:
     return inverse.diagonal().copy()
 
 
-def grounded_solve(A: SymOperator, rhs: np.ndarray, rel_tol: float = 1e-10) -> CGResult:
-    """Solve A x = rhs for a grounded (positive definite) energy operator.
-
-    CG first. If CG runs out of iterations on at most DENSE_CAP
-    unknowns, the system is solved again through cholesky(); that answer
-    is accepted only when its true residual meets rel_tol, otherwise the
-    original NoConvergence is raised. The result then carries the CG
-    iterations spent and the dense residual.
-    """
-    try:
-        return cg_solve(A, rhs, rel_tol=rel_tol)
-    except NoConvergence as failure:
-        if A.dimension > DENSE_CAP:
-            raise
-        try:
-            x, _ = lapack.dpotrs(cholesky(A.matrix.toarray(order="F")), rhs)
-        except SingularOperator:
-            raise failure from None
-        residual = float(np.linalg.norm(rhs - A.apply(x)))
-        if not residual <= rel_tol * float(np.linalg.norm(rhs)):
-            raise
-        return CGResult(x=x, iterations=failure.iterations, residual=residual)
-
-
 def solve_rank_one(A: SymOperator, o: int, rhs: np.ndarray, rel_tol: float = 1e-10) -> CGResult:
-    """Solve (A + e_o e_o^T) x = rhs by grounded_solve on the corrected operator."""
+    """Solve (A + e_o e_o^T) x = rhs for positive definite A.
+
+    Sherman-Morrison first: two solves against A itself, u = A^(-1) rhs
+    and w = A^(-1) e_o, give x = u - w u_o / (1 + w_o), so a held
+    operator's factor serves every pin; iterations sums both solves.
+    When either solve fails or x's true residual misses rel_tol, the
+    corrected operator is assembled and solved instead.
+    """
     n = A.dimension
     if not 0 <= o < n:
         raise InvalidParameter(f"pin vertex {o} out of range 0..{n - 1}")
+    rhs = np.asarray(rhs, dtype=float)
+    unit = np.zeros(n)
+    unit[o] = 1.0
+    try:
+        u = A.solve(rhs, rel_tol=rel_tol)
+        w = A.solve(unit, rel_tol=rel_tol)
+    except (NoConvergence, SingularOperator):
+        pass
+    else:
+        x = u.x - w.x * (u.x[o] / (1.0 + w.x[o]))
+        r = rhs - A.apply(x)
+        r[o] -= x[o]
+        residual = float(np.linalg.norm(r))
+        if residual <= rel_tol * float(np.linalg.norm(rhs)):
+            return CGResult(x=x, iterations=u.iterations + w.iterations, residual=residual)
     bump = sp.csr_matrix(([1.0], ([o], [o])), shape=(n, n))
-    return grounded_solve(SymOperator(A.matrix + bump), rhs, rel_tol=rel_tol)
+    return SymOperator(A.matrix + bump).solve(rhs, rel_tol=rel_tol)
 
 
 @dataclass(frozen=True)
@@ -213,16 +345,19 @@ class DenseEigh:
     eigenvectors: np.ndarray | None  # columns, M-orthonormal; None without vectors
 
 
-def dense_eigh(A: np.ndarray, M: np.ndarray, vectors: bool = True) -> DenseEigh:
+def dense_eigh(A, M: np.ndarray, vectors: bool = True) -> DenseEigh:
     """Full solution of A v = lambda M v for symmetric A, positive diagonal M.
 
-    M is given as the diagonal vector. Eigenvectors come back M-orthonormal
+    A is a dense array or a scipy sparse matrix; a sparse A is densified
+    straight into the working copy, so no second n x n array is held. M
+    is given as the diagonal vector. Eigenvectors come back M-orthonormal
     (V^T diag(M) V = I). With vectors=False only the eigenvalues are
     computed (LAPACK dsyevr without vectors reduces to dsterf, far
     cheaper on degenerate spectra) and eigenvectors is None. Sizes above
     DENSE_CAP are refused.
     """
-    A = np.asarray(A, dtype=float)
+    if not sp.issparse(A):
+        A = np.asarray(A, dtype=float)
     M = np.asarray(M, dtype=float)
     n = A.shape[0]
     if n > DENSE_CAP:
@@ -234,10 +369,19 @@ def dense_eigh(A: np.ndarray, M: np.ndarray, vectors: bool = True) -> DenseEigh:
     # scale, symmetrize and solve in one working copy; B is exactly
     # symmetric, so its Fortran-order view B.T lets eigh overwrite it
     s = 1.0 / np.sqrt(M)
-    B = s[:, None] * A
+    B = A.toarray() if sp.issparse(A) else A.copy()
+    B *= s[:, None]
     B *= s[None, :]
-    B += B.T
-    B *= 0.5
+    # B = (B + B^T) / 2 tile by tile: the whole-matrix B += B.T overlaps
+    # its operands, so numpy would copy all of B.T first
+    for i in range(0, n, SYMMETRIZE_TILE):
+        for j in range(i, n, SYMMETRIZE_TILE):
+            upper = B[i : i + SYMMETRIZE_TILE, j : j + SYMMETRIZE_TILE]
+            lower = B[j : j + SYMMETRIZE_TILE, i : i + SYMMETRIZE_TILE]
+            mean = upper + lower.T
+            mean *= 0.5
+            upper[...] = mean
+            lower[...] = mean.T
     if not vectors:
         w = scipy.linalg.eigh(B.T, overwrite_a=True, eigvals_only=True)
         return DenseEigh(eigenvalues=w, eigenvectors=None)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .errors import (
     SameVertex,
 )
 from .graph import ExhaustionGenerator, Section, VertexFn, tree_depth_fits
-from .numerics import DENSE_CAP, grounded_solve, inverse_diagonal, solve_rank_one
+from .numerics import DENSE_CAP, SymOperator, inverse_diagonal, solve_rank_one
 
 MONOTONE_SLACK = 1e-10
 
@@ -52,7 +53,7 @@ def _extend(s: Section, free: np.ndarray, values: np.ndarray, rel_tol: float) ->
     """
     if len(free):
         rhs = s.adj[free].dot(values)
-        values[free] = grounded_solve(energy_matrix(s, free), rhs, rel_tol=rel_tol).x
+        values[free] = energy_matrix(s, free).solve(rhs, rel_tol=rel_tol).x
 
 
 @dataclass(frozen=True)
@@ -349,31 +350,69 @@ class GammaValue:
         return self.value
 
 
-def _endpoint_support(s: Section, xi: int, yi: int) -> np.ndarray:
-    """Interior vertices on the interior components of the interior endpoints, ascending."""
-    cids = {int(s.interior_components[v]) for v in (xi, yi) if not s.dirichlet[v]}
-    return np.sort(np.concatenate([s.interior_members[cid] for cid in cids]))
+class _Support(NamedTuple):
+    """A grounded energy operator and the ascending vertices of its rows."""
+
+    members: np.ndarray
+    op: SymOperator
 
 
-def _dual_form(s: Section, support, xi: int, yi: int, rel_tol: float, pin=None) -> float:
-    """max(chi^T A^(-1) chi, 0) for the energy matrix A on support.
+def _support(s: Section, key: tuple) -> _Support:
+    """The operator of one component, from the section's cache.
 
-    chi is +1 at xi and -1 at yi, each only where that vertex lies in
-    support, so endpoints outside it sit at the ground. A pin inside
-    support adds f(pin)^2 to the form; one outside it cannot bind.
+    ("interior", cid) is interior component cid under the mask.
+    ("free", fid) is full component fid with the mask ignored, grounded
+    at its lowest vertex unless it carries killing: the dual form of
+    e_x - e_y does not depend on the ground (the pseudo-inverse identity
+    of effective resistance), so one operator serves every pair.
     """
-    pos = {int(v): i for i, v in enumerate(support)}
-    chi = np.zeros(len(support))
-    if xi in pos:
-        chi[pos[xi]] += 1.0
-    if yi in pos:
-        chi[pos[yi]] -= 1.0
-    A = energy_matrix(s, support)
-    if pin in pos:
-        sol = solve_rank_one(A, pos[pin], chi, rel_tol=rel_tol)
+    got = s.operators.get(key)
+    if got is None:
+        kind, cid = key
+        if kind == "interior":
+            members = s.interior_members[cid]
+        else:
+            members = np.flatnonzero(s.full_components == cid)
+            if not np.any(s.c[members] > 0):
+                members = members[1:]
+        got = s.operators[key] = _Support(members, energy_matrix(s, members))
+    return got
+
+
+def _position(members: np.ndarray, v: int):
+    """Row of vertex v in an operator over members, or None."""
+    i = int(np.searchsorted(members, v))
+    return i if i < len(members) and members[i] == v else None
+
+
+def _dual_form(sup: _Support, xi: int, yi: int, rel_tol: float, pin=None) -> float:
+    """max(chi^T A^(-1) chi, 0) for the operator A of sup.
+
+    chi is +1 at xi and -1 at yi, each only where that vertex is a row
+    of A, so endpoints outside it sit at the ground. A pin among the rows
+    adds f(pin)^2 to the form; one outside them cannot bind.
+    """
+    chi = np.zeros(len(sup.members))
+    for v, sign in ((xi, 1.0), (yi, -1.0)):
+        i = _position(sup.members, v)
+        if i is not None:
+            chi[i] += sign
+    o = None if pin is None else _position(sup.members, pin)
+    if o is None:
+        sol = sup.op.solve(chi, rel_tol=rel_tol)
     else:
-        sol = grounded_solve(A, chi, rel_tol=rel_tol)
+        sol = solve_rank_one(sup.op, o, chi, rel_tol=rel_tol)
     return float(max(chi @ sol.x, 0.0))
+
+
+def _resistance(s: Section, xi: int, yi: int, rel_tol: float) -> float:
+    """Free effective resistance between two vertices of one connected component."""
+    return _dual_form(_support(s, ("free", int(s.full_components[xi]))), xi, yi, rel_tol)
+
+
+def _endpoint_components(s: Section, xi: int, yi: int) -> list:
+    """Interior component ids of the interior endpoints, ascending."""
+    return sorted({int(s.interior_components[v]) for v in (xi, yi) if not s.dirichlet[v]})
 
 
 def gamma(s: Section, x, y, rel_tol: float = 1e-10) -> GammaValue:
@@ -381,11 +420,12 @@ def gamma(s: Section, x, y, rel_tol: float = 1e-10) -> GammaValue:
 
     Masked endpoints sit at the common ground. When every involved
     component is grounded the dual form of the restricted energy matrix
-    gives the value ("wired"). An ungrounded component still yields a
-    finite value when x and y share it (the kernel constant cancels in
-    differences): the free effective resistance, reported as
-    "free-fallback". Otherwise additive constants blow the supremum up
-    and the value is +inf ("recurrent-section").
+    gives the value ("wired"); interior components are decoupled blocks
+    of it, so the form is summed over theirs. An ungrounded component
+    still yields a finite value when x and y share it (the kernel
+    constant cancels in differences): the free effective resistance,
+    reported as "free-fallback". Otherwise additive constants blow the
+    supremum up and the value is +inf ("recurrent-section").
     """
     xi, yi = s.index_of(x), s.index_of(y)
     if xi == yi:
@@ -393,17 +433,16 @@ def gamma(s: Section, x, y, rel_tol: float = 1e-10) -> GammaValue:
     if s.dirichlet[xi] and s.dirichlet[yi]:
         return GammaValue(0.0, "wired")
 
-    icomp = s.interior_components
-    support = _endpoint_support(s, xi, yi)
-    if s.grounded[icomp[support]].all():
-        return GammaValue(float(np.sqrt(_dual_form(s, support, xi, yi, rel_tol))), "wired")
+    cids = _endpoint_components(s, xi, yi)
+    if s.grounded[cids].all():
+        value = sum(_dual_form(_support(s, ("interior", c)), xi, yi, rel_tol) for c in cids)
+        return GammaValue(float(np.sqrt(value)), "wired")
 
-    if icomp[xi] == icomp[yi]:
+    if s.interior_components[xi] == s.interior_components[yi]:
         # ungrounded shared component: it is a whole connected component,
         # and constants drop out of differences, leaving its free
         # effective resistance
-        value = free_resistance(s, s.labels[xi], s.labels[yi], rel_tol=rel_tol)
-        return GammaValue(float(np.sqrt(value)), "free-fallback")
+        return GammaValue(float(np.sqrt(_resistance(s, xi, yi, rel_tol))), "free-fallback")
 
     return GammaValue(math.inf, "recurrent-section")
 
@@ -412,7 +451,11 @@ def gamma_o(s: Section, o, x, y, rel_tol: float = 1e-10) -> float:
     """Metric of the norm energy(f) + f(o)^2; finite on connected sections.
 
     A masked pin adds nothing (admissible functions already vanish
-    there), so the value coincides with gamma.
+    there), so the value coincides with gamma; a pin on a grounded
+    component is a rank-one update of that component's operator. On an
+    ungrounded component (which then holds x, y and o) subtracting the
+    constant f(o) leaves energy and differences alone, so the value is
+    the free effective resistance.
     """
     xi, yi, oi = s.index_of(x), s.index_of(y), s.index_of(o)
     if xi == yi:
@@ -422,9 +465,10 @@ def gamma_o(s: Section, o, x, y, rel_tol: float = 1e-10) -> float:
         raise DisconnectedPair("x, y and o must share a connected component")
     if s.dirichlet[xi] and s.dirichlet[yi]:
         return 0.0
-    # a masked pin leaves every interior component of x and y touching
-    # the mask, so without the pin this is gamma's wired form
-    value = _dual_form(s, _endpoint_support(s, xi, yi), xi, yi, rel_tol, pin=oi)
+    cids = _endpoint_components(s, xi, yi)
+    if not s.grounded[cids].all():
+        return float(np.sqrt(_resistance(s, xi, yi, rel_tol)))
+    value = sum(_dual_form(_support(s, ("interior", c)), xi, yi, rel_tol, pin=oi) for c in cids)
     return float(np.sqrt(value))
 
 
@@ -432,8 +476,9 @@ def free_resistance(s: Section, x, y, rel_tol: float = 1e-10) -> float:
     """Effective resistance between x and y with the mask ignored.
 
     With a killing term on the component the quadratic form is definite
-    and the dual form applies directly; otherwise y is grounded, which
-    realizes the pseudo-inverse value exactly.
+    and the dual form applies directly; otherwise the component is
+    grounded at its lowest vertex, which realizes the pseudo-inverse
+    value exactly.
     """
     xi, yi = s.index_of(x), s.index_of(y)
     if xi == yi:
@@ -441,10 +486,7 @@ def free_resistance(s: Section, x, y, rel_tol: float = 1e-10) -> float:
     full = s.full_components
     if full[xi] != full[yi]:
         raise DisconnectedPair(f"{x!r} and {y!r} lie in different components")
-    comp = np.flatnonzero(full == full[xi])
-    if not np.any(s.c[comp] > 0):
-        comp = comp[comp != yi]
-    return _dual_form(s, comp, xi, yi, rel_tol)
+    return _resistance(s, xi, yi, rel_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def spectrum(s: Section, k: int | None = None, vectors: bool = True) -> Spectral
     dense_wanted = k is None or ni <= DENSE_SHORTCUT or k >= ni - 1
     if dense_wanted:
         if ni <= DENSE_CAP:
-            sol = dense_eigh(A.dense(), mass, vectors=vectors)
+            sol = dense_eigh(A.matrix, mass, vectors=vectors)
             w, V = sol.eigenvalues, sol.eigenvectors
             if k is not None:
                 w = w[:k]

@@ -9,7 +9,6 @@ from royden.numerics import (
     cg_solve,
     cholesky,
     dense_eigh,
-    grounded_solve,
     inverse_diagonal,
     solve_rank_one,
 )
@@ -94,6 +93,17 @@ def test_rank_one_routes_agree():
         np.testing.assert_allclose(got.x, exact, atol=1e-7)
 
 
+def test_rank_one_on_a_singular_operator():
+    # a path Laplacian has no inverse, so Sherman-Morrison cannot start;
+    # the pin makes the corrected operator definite, and that is solved
+    A = [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]
+    rhs = np.array([1.0, 0.0, -1.0])
+    got = solve_rank_one(op(A), 1, rhs)
+    bumped = np.array(A)
+    bumped[1, 1] += 1.0
+    np.testing.assert_allclose(got.x, np.linalg.solve(bumped, rhs), atol=1e-10)
+
+
 def test_dense_eigh_pencil():
     # A v = lambda M v with M = diag(1, 4): exact pencil eigenvalues
     A = np.array([[2.0, -1.0], [-1.0, 2.0]])
@@ -144,28 +154,28 @@ def _hard_system():
     return op(B @ B.T + 0.01 * np.eye(30)), rng.normal(size=30)
 
 
-def test_grounded_solve_dense_fallback_after_cg_budget(monkeypatch):
+def test_solve_direct_fallback_after_cg_budget(monkeypatch):
     A, rhs = _hard_system()
     cg_budget(monkeypatch, 2)
-    res = grounded_solve(A, rhs, rel_tol=1e-10)
+    res = A.solve(rhs, rel_tol=1e-10)
     assert res.iterations == 2
     assert res.residual <= 1e-10 * np.linalg.norm(rhs)
     np.testing.assert_allclose(res.x, np.linalg.solve(A.dense(), rhs), rtol=1e-8)
 
 
-def test_grounded_solve_reraises_cg_failure(monkeypatch):
+def test_solve_reraises_cg_failure(monkeypatch):
     A, rhs = _hard_system()
     cg_budget(monkeypatch, 2)
-    # the dense answer cannot meet a tolerance below rounding
+    # the direct answer cannot meet a tolerance below rounding
     with pytest.raises(NoConvergence) as err:
-        grounded_solve(A, rhs, rel_tol=1e-300)
+        A.solve(rhs, rel_tol=1e-300)
     assert err.value.iterations == 2
-    # an indefinite operator has no Cholesky factor
+    # an indefinite operator has no factor with positive pivots
     cg_budget(monkeypatch, 1)
     with pytest.raises(NoConvergence):
-        grounded_solve(op([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 0.0]))
-    # above DENSE_CAP there is no dense retry
+        op([[1.0, 2.0], [2.0, 1.0]]).solve(np.array([1.0, 0.0]))
+    # above DIRECT_CAP there is no direct route
     cg_budget(monkeypatch, 2)
-    monkeypatch.setattr(numerics, "DENSE_CAP", 10)
+    monkeypatch.setattr(numerics, "DIRECT_CAP", 10)
     with pytest.raises(NoConvergence):
-        grounded_solve(A, rhs, rel_tol=1e-10)
+        _hard_system()[0].solve(rhs, rel_tol=1e-10)

@@ -404,27 +404,27 @@ def test_interior_capacities_above_dense_cap(monkeypatch):
     np.testing.assert_allclose(caps, want, rtol=1e-12, atol=0.0)
 
 
-def _wide_weight_section(seed):
-    """Z^2 r=20 with edge weights log-uniform over 10^-3..10^3."""
-    z = R.generate_lattice(2, 20)
+def _log_uniform_lattice(d, radius, decades, seed):
+    """Z^d ball with edge weights log-uniform over 10^-decades..10^decades."""
+    z = R.generate_lattice(d, radius)
     rng = np.random.default_rng(seed)
-    edges = [(a, b, 10.0 ** rng.uniform(-3.0, 3.0)) for a, b, _ in _edges_of(z)]
+    edges = [(a, b, 10.0 ** rng.uniform(-decades, decades)) for a, b, _ in _edges_of(z)]
     return R.build_section(z.n, edges, dirichlet=z.mask, labels=z.labels)
 
 
 def test_wide_weight_capacity_matches_dense_inverse(monkeypatch):
     import royden.numerics as numerics
 
-    s = _wide_weight_section(0)
+    s = _log_uniform_lattice(2, 20, 3, seed=0)
     inter = s.interior
     G = np.linalg.inv(_dense_laplacian(s)[np.ix_(inter, inter)])
     xi = int(np.searchsorted(inter, s.index_of((0, 0))))
-    # Jacobi-PCG runs out of iterations here; the dense retry answers
+    # Jacobi-PCG stalls here; the sparse factor answers
     cap = R.equilibrium_potential(s, (0, 0)).cap
     assert cap == pytest.approx(1.0 / G[xi, xi], rel=1e-8)
     np.testing.assert_allclose(R.interior_capacities(s), 1.0 / np.diag(G), rtol=1e-8)
-    # without the dense retry the CG failure surfaces unchanged
-    monkeypatch.setattr(numerics, "DENSE_CAP", 100)
+    # without the direct route the CG failure surfaces unchanged
+    monkeypatch.setattr(numerics, "DIRECT_CAP", 100)
     with pytest.raises(NoConvergence):
         R.equilibrium_potential(s, (0, 0))
 
@@ -458,3 +458,69 @@ def test_interior_capacities_assemble_one_energy_matrix(monkeypatch):
             comp = [3 * i, 3 * i + 1]
             want[comp] = 1.0 / np.diag(np.linalg.inv(A[np.ix_(comp, comp)]))
     np.testing.assert_allclose(caps, want[s.interior], rtol=1e-12, atol=0.0)
+
+
+def test_metric_ops_share_one_factored_operator(monkeypatch):
+    import random
+
+    import scipy.sparse.linalg
+
+    import royden.numerics as numerics
+    import royden.potential as potential
+
+    s = R.generate_lattice(3, 6)
+    calls = {}
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, []).append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(potential, "energy_matrix")
+    count(scipy.sparse.linalg, "splu")
+    count(numerics, "cg_solve")
+    labels = [s.labels[v] for v in s.interior]
+    rng = random.Random(3)
+    G = np.linalg.inv(_dense_laplacian(s)[np.ix_(s.interior, s.interior)])
+    for i in range(20):
+        x, y, o = rng.sample(labels, 3)
+        xi, yi, oi = (int(np.searchsorted(s.interior, s.index_of(v))) for v in (x, y, o))
+        chi = _unit(len(s.interior), (xi, 1.0), (yi, -1.0))
+        if i % 2:
+            got, Q = R.gamma_o(s, o, x, y), G - np.outer(G[:, oi], G[:, oi]) / (1.0 + G[oi, oi])
+        else:
+            got, Q = R.gamma(s, x, y).value, G
+        assert got == pytest.approx(math.sqrt(chi @ Q @ chi), rel=1e-10)
+    # one interior operator for all 20 queries, CG on its first solve only
+    assert [args[1].shape[0] for args in calls["energy_matrix"]] == [len(s.interior)]
+    assert len(calls["splu"]) == 1
+    assert len(calls["cg_solve"]) == 1
+
+
+def test_direct_route_above_dense_cap():
+    import royden.numerics as numerics
+
+    # 6,241 interior vertices: above DENSE_CAP, inside DIRECT_CAP
+    s = _log_uniform_lattice(2, 40, 3, seed=0)
+    assert len(s.interior) > numerics.DENSE_CAP
+    res = R.equilibrium_potential(s, (0, 0))
+    # cap(x) = 1 / G(x, x) and gamma(x, masked)^2 = G(x, x): the two come
+    # from different operators (the interior without x, and with it)
+    masked = s.labels[int(s.mask[0])]
+    g = R.gamma(s, (0, 0), masked).value
+    assert res.cap == pytest.approx(1.0 / g**2, rel=1e-9)
+    # harmonic off x and the mask
+    lap = R.formal_laplacian(s, res.u).values
+    free = s.interior[s.interior != s.index_of((0, 0))]
+    assert np.abs(lap[free]).max() <= 1e-9 * np.abs(lap).max()
+    # at 10^+-6 the factor's residual for the unit right-hand side of
+    # G(x, x) stays above the default tolerance (6.5e-10 here) and CG's
+    # budget runs out, so that is refused; a looser tolerance is met
+    wide = _log_uniform_lattice(2, 40, 6, seed=0)
+    with pytest.raises(NoConvergence):
+        R.gamma(wide, (0, 0), masked)
+    assert R.gamma(wide, (0, 0), masked, rel_tol=1e-8).value > 0

@@ -30,7 +30,7 @@ MASS = st.floats(-1.0, 1.0).map(lambda e: 10.0**e)
 
 
 @st.composite
-def sections(draw, weight=WEIGHT, masses=False):
+def sections(draw, weight=WEIGHT, masses=False, every_kind=False):
     blocks = draw(
         st.lists(
             st.tuples(st.integers(1, 6), st.sampled_from(["mask", "killing", "none"])),
@@ -38,6 +38,8 @@ def sections(draw, weight=WEIGHT, masses=False):
             max_size=6,
         )
     )
+    if every_kind:  # a block of at least two vertices per kind of grounding
+        blocks += [(draw(st.integers(2, 6)), kind) for kind in ("mask", "killing", "none")]
     edges, c, mask = {}, {}, []
     n = 0
     for size, ground in blocks:
@@ -179,31 +181,57 @@ def _two_vertices(s, data):
     return x, y, full
 
 
+def _gamma_oracle(s, x, y):
+    """(regime, value) of gamma(x, y) from a dense inverse or pseudo-inverse."""
+    comps = [(members, grounded) for members, grounded in _reference_components(s)
+             if x in members or y in members]
+    if all(grounded for _, grounded in comps):
+        regime = "wired"
+    elif len(comps) == 1 and x in comps[0][0] and y in comps[0][0]:
+        regime = "free-fallback"
+    else:
+        # a pair across components is infinite unless both sit on
+        # grounded components
+        return "recurrent-section", math.inf
+    block = sorted(v for members, _ in comps for v in members)
+    if not block:  # both endpoints masked: both sit at the ground
+        return regime, 0.0
+    # components are decoupled blocks of the interior energy matrix, and
+    # on a shared ungrounded one chi is orthogonal to the constants
+    return regime, math.sqrt(_dual(np.linalg.pinv(_laplacian(s)[np.ix_(block, block)]), block, x, y))
+
+
+def _gamma_o_oracle(s, o, x, y):
+    """gamma_o(x, y) pinned at o, from a dense inverse."""
+    support = [v for members, _ in _reference_components(s) if x in members or y in members
+               for v in members]
+    block = sorted(set(support) | ({o} if not s.dirichlet[o] else set()))
+    if not block:
+        return 0.0
+    # f(o)^2 joins the energy; a masked pin adds nothing since f(o) = 0
+    Q = _laplacian(s)[np.ix_(block, block)]
+    if not s.dirichlet[o]:
+        Q[block.index(o), block.index(o)] += 1.0
+    return math.sqrt(_dual(np.linalg.inv(Q), block, x, y))
+
+
+def _resistance_oracle(s, x, y):
+    """Free effective resistance from the pseudo-inverse of the full component of x."""
+    # the mask is ignored; without killing the constants span the kernel
+    # and chi is orthogonal to them
+    full = _full_component(s, x)
+    return _dual(np.linalg.pinv(_laplacian(s)[np.ix_(full, full)]), full, x, y)
+
+
 @PROPERTY_SETTINGS
 @given(sections(), st.data())
 def test_gamma_matches_dense_pseudo_inverse(s, data):
-    # any two vertices, not only connected ones: a pair across components
-    # is infinite unless both sit on grounded components
+    # any two vertices, not only connected ones
     assume(s.n >= 2)
     x, y = data.draw(st.lists(st.integers(0, s.n - 1), min_size=2, max_size=2, unique=True))
-    comps = [(members, grounded) for members, grounded in _reference_components(s)
-             if x in members or y in members]
+    regime, want = _gamma_oracle(s, x, y)
     got = R.gamma(s, x, y)
-    shared = len(comps) == 1 and x in comps[0][0] and y in comps[0][0]
-    if all(grounded for _, grounded in comps):
-        assert got.regime == "wired"
-    elif shared:
-        assert got.regime == "free-fallback"
-    else:
-        assert got.regime == "recurrent-section" and got.value == math.inf
-        return
-    block = sorted(v for members, _ in comps for v in members)
-    if not block:  # both endpoints masked: both sit at the ground
-        assert got.value == 0.0
-        return
-    # components are decoupled blocks of the interior energy matrix, and
-    # on a shared ungrounded one chi is orthogonal to the constants
-    want = math.sqrt(_dual(np.linalg.pinv(_laplacian(s)[np.ix_(block, block)]), block, x, y))
+    assert got.regime == regime
     assert got.value == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
@@ -223,27 +251,48 @@ def test_gamma_o_matches_dense_inverse(s, data):
     }
     where = data.draw(st.sampled_from([k for k, vs in pins.items() if vs]), label="pin")
     o = data.draw(st.sampled_from(pins[where]), label="o")
-    got = R.gamma_o(s, o, x, y)
-    block = sorted(set(support) | ({o} if not s.dirichlet[o] else set()))
-    if not block:
-        assert got == 0.0
-        return
-    # f(o)^2 joins the energy; a masked pin adds nothing since f(o) = 0
-    Q = _laplacian(s)[np.ix_(block, block)]
-    if not s.dirichlet[o]:
-        Q[block.index(o), block.index(o)] += 1.0
-    want = math.sqrt(_dual(np.linalg.inv(Q), block, x, y))
-    assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+    assert R.gamma_o(s, o, x, y) == pytest.approx(_gamma_o_oracle(s, o, x, y), rel=1e-8, abs=0.0)
 
 
 @PROPERTY_SETTINGS
 @given(sections(), st.data())
 def test_free_resistance_matches_dense_pseudo_inverse(s, data):
-    x, y, full = _two_vertices(s, data)
-    # the mask is ignored; without killing the constants span the kernel
-    # and chi is orthogonal to them
-    want = _dual(np.linalg.pinv(_laplacian(s)[np.ix_(full, full)]), full, x, y)
-    assert R.free_resistance(s, x, y) == pytest.approx(want, rel=1e-8, abs=0.0)
+    x, y, _ = _two_vertices(s, data)
+    assert R.free_resistance(s, x, y) == pytest.approx(_resistance_oracle(s, x, y), rel=1e-8, abs=0.0)
+
+
+@PROPERTY_SETTINGS
+@given(sections(every_kind=True), st.data())
+def test_metrics_on_reused_operators_match_dense_oracles(s, data):
+    # gamma, gamma_o and free_resistance interleaved, every query asked
+    # twice, so each operator the section keeps is solved again once its
+    # sparse factor exists. Per connected component: an endpoint at the
+    # resistance ground (its lowest vertex), pins at that ground and on
+    # the mask, and a whole component that is ungrounded (free-fallback)
+    queries = []
+    for full in {tuple(_full_component(s, v)) for v in range(s.n)}:
+        if len(full) < 2:
+            continue
+        ground = full[0]
+        for _ in range(2):
+            x, y = data.draw(st.lists(st.sampled_from(full), min_size=2, max_size=2, unique=True))
+            o = data.draw(st.sampled_from(full), label="o")
+            queries += [("gamma", None, x, y), ("gamma_o", o, x, y), ("resistance", None, x, y)]
+        other = y if y != ground else x
+        queries += [("resistance", None, ground, other), ("gamma", None, other, ground)]
+        queries += [("gamma_o", ground, x, y)]
+        queries += [("gamma_o", int(m), x, y) for m in full if s.dirichlet[m]][:1]
+    for kind, o, x, y in data.draw(st.permutations(queries), label="order") * 2:
+        if kind == "gamma":
+            regime, want = _gamma_oracle(s, x, y)
+            got = R.gamma(s, x, y)
+            assert got.regime == regime
+            got = got.value
+        elif kind == "gamma_o":
+            got, want = R.gamma_o(s, o, x, y), _gamma_o_oracle(s, o, x, y)
+        else:
+            got, want = R.free_resistance(s, x, y), _resistance_oracle(s, x, y)
+        assert got == pytest.approx(want, rel=1e-8, abs=0.0), (kind, o, x, y)
 
 
 @PROPERTY_SETTINGS
