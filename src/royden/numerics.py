@@ -10,9 +10,11 @@ envelope (an estimate of the factor's fill) is at most DIRECT_CAP
 entries. Every answer, on either route, is accepted only when its true
 residual meets the relative tolerance. solve_rank_one adds a pin
 e_o e_o^T by a Sherman-Morrison update, two solves against the held
-operator. Dense Cholesky (LAPACK dpotrf, worked in place on one dense
-copy) gives the diagonal of the inverse for interior capacities up to
-DENSE_CAP. Dense eigensolves reduce the generalized pencil (A, M) with
+operator. Interior capacities need the diagonal of an operator's
+inverse: up to DENSE_CAP unknowns dense Cholesky (LAPACK dpotrf, worked
+in place on one dense copy) gives it, above it one solve per unit vector
+against the held operator, so its one factor answers all but the first.
+Dense eigensolves reduce the generalized pencil (A, M) with
 diagonal M to an ordinary symmetric problem through the M^(-1/2)
 similarity.
 """

@@ -89,35 +89,42 @@ def interior_capacities(s: Section, rel_tol: float = 1e-10) -> np.ndarray:
     """Capacity of every interior vertex, aligned with s.interior.
 
     Per interior component: an ungrounded one has capacity 0 throughout
-    (the degenerate case of equilibrium_potential). A grounded one with
-    at most DENSE_CAP vertices is read off a single factorization,
+    (the degenerate case of equilibrium_potential). On a grounded one
     cap(x) = 1 / G(x, x) with G the inverse of its energy matrix (the
     equilibrium potential is G e_x / G(x, x), whose energy is 1 / G(x, x)).
-    Larger grounded components fall back to one equilibrium_potential
-    per vertex; rel_tol applies to those solves only.
+    Up to DENSE_CAP vertices the diagonal of G comes from one dense
+    factorization, exact to rounding. Above it, from one solve G e_x per
+    vertex against the component's operator held by the section (the one
+    gamma and gamma_o use): CG answers the first, the operator's sparse
+    factor the rest; rel_tol applies to those solves only.
     """
     inter = s.interior
     caps = np.zeros(len(inter))
-    # the interior with its components laid end to end: each component's
+    # the components up to DENSE_CAP laid end to end: each component's
     # rows are a contiguous run of the one energy matrix, and its entries
     # fall inside its own diagonal block
-    order = np.concatenate(s.interior_members) if len(inter) else inter
+    small = [comp for comp in s.interior_members if len(comp) <= DENSE_CAP]
+    order = np.concatenate(small) if small else inter[:0]
     A = energy_matrix(s, order).matrix
     rows = np.repeat(np.arange(len(order)), np.diff(A.indptr))
     pos = np.searchsorted(inter, order)
-    large, b = [], 0
+    b = 0
     for cid, comp in enumerate(s.interior_members):
+        if len(comp) > DENSE_CAP:
+            if s.grounded[cid]:
+                op = _support(s, ("interior", cid)).op
+                unit = np.zeros(len(comp))
+                for i, p in enumerate(np.searchsorted(inter, comp)):
+                    unit[i] = 1.0
+                    caps[p] = 1.0 / op.solve(unit, rel_tol=rel_tol).x[i]
+                    unit[i] = 0.0
+            continue
         a, b = b, b + len(comp)
-        if s.grounded[cid] and len(comp) > DENSE_CAP:
-            large.extend(pos[a:b].tolist())
-        elif s.grounded[cid]:
+        if s.grounded[cid]:
             lo, hi = A.indptr[a], A.indptr[b]
             block = np.zeros((b - a, b - a), order="F")
             block[rows[lo:hi] - a, A.indices[lo:hi] - a] = A.data[lo:hi]
             caps[pos[a:b]] = 1.0 / inverse_diagonal(block)
-    # pass labels: index_of resolves labels first, and int labels (1d
-    # lattice coordinates) need not agree with raw indices
-    caps[large] = _caps(s, [s.labels[int(inter[p])] for p in large], rel_tol)
     return caps
 
 
@@ -134,8 +141,9 @@ class SupNormConstant:
 def sup_norm_constant(s: Section, rel_tol: float = 1e-10) -> SupNormConstant:
     """C = (min cap)^(-1/2) over the interior, from interior_capacities.
 
-    Capacities come from one dense factorization per grounded interior
-    component up to DENSE_CAP vertices, and per vertex above it.
+    Every capacity is 1 / G(x, x), read per grounded interior component
+    off one dense factorization up to DENSE_CAP vertices and off the
+    component's held sparse operator above it.
     """
     caps = interior_capacities(s, rel_tol=rel_tol)
     if len(caps) == 0:
@@ -527,20 +535,19 @@ def _caps(s: Section, xs, rel_tol: float) -> list:
 
 
 def _window_scan(gen: ExhaustionGenerator, window_level: int, rel_tol: float):
-    """Scan levels, the window's interior labels and one column of
-    capacities per scan level, aligned with those labels.
+    """Scan levels, one window interior label per orbit (the first in
+    window order), and one column of capacities per scan level, aligned
+    with those labels.
 
-    Automorphisms fixing the origin map every level onto itself, so one
-    solve per orbit of window labels serves all its members.
+    Automorphisms fixing the origin map every level onto itself, so each
+    window vertex has the capacity of its orbit's label at every level.
     """
     window = gen.section(window_level)
     scan_levels = (window_level, 2 * window_level, 4 * window_level)
-    xs = [window.labels[v] for v in window.interior]
     first = {}  # orbit label -> the first window label in that orbit
-    for x in xs:
+    for v in window.interior:
+        x = window.labels[v]
         first.setdefault(gen.orbit_label(x), x)
-    slot = {orbit: i for i, orbit in enumerate(first)}
-    member = [slot[gen.orbit_label(x)] for x in xs]
     reps = list(first.values())
     # the window serves the first scan level, and is released before the
     # next one builds; each deeper level is built once for all of reps
@@ -548,7 +555,7 @@ def _window_scan(gen: ExhaustionGenerator, window_level: int, rel_tol: float):
     del window
     if reps:
         columns += [_caps(gen.section(lev), reps, rel_tol) for lev in scan_levels[1:]]
-    return scan_levels, xs, [[col[i] for i in member] for col in columns]
+    return scan_levels, reps, columns
 
 
 def uniform_transience_report(
@@ -569,14 +576,14 @@ def uniform_transience_report(
     transience. Otherwise a finite window scan of per-vertex capacity
     estimates gives a heuristic answer only.
 
-    The window scan builds each of its three levels once and solves one
-    window vertex per orbit there. The profile and the gap scan solve on
-    orbit sections (see ExhaustionGenerator.orbits).
+    The window scan builds each of its three levels once, and solves,
+    checks and fits one window vertex per orbit there. The profile and
+    the gap scan solve on orbit sections (see ExhaustionGenerator.orbits).
     """
     if window_level < 1:
         raise InvalidParameter("window level must be >= 1")
-    scan_levels, xs, columns = _window_scan(gen, window_level, rel_tol)
-    estimates = []
+    scan_levels, _, columns = _window_scan(gen, window_level, rel_tol)
+    estimates = []  # one per orbit of window vertices
     for values in zip(*columns):
         _check_monotone(scan_levels, values)
         ex = _fit_extrapolation(scan_levels, values)

@@ -59,13 +59,14 @@ def spectrum(s: Section, k: int | None = None, vectors: bool = True) -> Spectral
     """Eigenvalues of the Dirichlet pencil, ascending.
 
     This is the one dispatch between the dense and the Lanczos route.
-    Without k the full dense solve runs (sizes above DENSE_CAP are
-    refused). With k, the dense solve runs when the interior has at most
-    DENSE_SHORTCUT vertices or k >= interior size - 1, and returns the k
-    smallest pairs; otherwise a shift-invert Lanczos run at sigma = 0
-    finds them, which needs every interior component grounded (else
-    UngroundedComponent). With vectors=False neither route computes
-    eigenvectors, and the result's eigenvectors is None.
+    Without k the full dense solve runs. With k, the dense solve runs
+    when the interior has at most DENSE_SHORTCUT vertices or
+    k >= interior size - 1, and returns the k smallest pairs; whenever
+    it is chosen for an interior above DENSE_CAP, DimensionCap is raised.
+    Otherwise a shift-invert Lanczos run at sigma = 0 finds them, which
+    needs every interior component grounded (else UngroundedComponent).
+    With vectors=False neither route computes eigenvectors, and the
+    result's eigenvectors is None.
     """
     inter = s.interior
     ni = len(inter)
@@ -80,24 +81,24 @@ def spectrum(s: Section, k: int | None = None, vectors: bool = True) -> Spectral
             raise InvalidParameter(f"k must be in 1..{ni}, got {k}")
     dense_wanted = k is None or ni <= DENSE_SHORTCUT or k >= ni - 1
     if dense_wanted:
-        if ni <= DENSE_CAP:
-            sol = dense_eigh(A.matrix, mass, vectors=vectors)
-            w, V = sol.eigenvalues, sol.eigenvectors
-            if k is not None:
-                w = w[:k]
-                V = None if V is None else V[:, :k]
-            return SpectralResult(
-                eigenvalues=w,
-                eigenvectors=V,
-                interior=inter,
-                section=s,
-                measure_total=total,
-                method="dense",
-            )
-        if k is None or k >= ni:
+        if ni > DENSE_CAP:
             raise DimensionCap(
-                f"dense spectrum of size {ni} above cap {DENSE_CAP}; pass k for a partial solve"
+                f"dense spectrum of size {ni} above cap {DENSE_CAP}; "
+                f"pass k < {ni - 1} for a partial solve"
             )
+        sol = dense_eigh(A.matrix, mass, vectors=vectors)
+        w, V = sol.eigenvalues, sol.eigenvectors
+        if k is not None:
+            w = w[:k]
+            V = None if V is None else V[:, :k]
+        return SpectralResult(
+            eigenvalues=w,
+            eigenvectors=V,
+            interior=inter,
+            section=s,
+            measure_total=total,
+            method="dense",
+        )
     s.ensure_grounded()  # the shift-invert factorization at 0 needs it
     # deterministic start vector
     v0 = np.ones(ni) / math.sqrt(ni)

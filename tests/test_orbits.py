@@ -94,12 +94,20 @@ def test_orbit_section_is_the_quotient_of_the_full_level(gen, level):
          "lattice:d=3,c=0.05-1", "tree:k=3-2", "tree:k=4,c0=1,c=0.05-2"],
 )
 def test_window_scan_copies_equal_each_vertex_own_solve(gen, window_level):
-    scan_levels, xs, columns = _window_scan(gen, window_level, 1e-10)
-    assert xs == [gen.section(window_level).labels[v] for v in gen.section(window_level).interior]
+    scan_levels, reps, columns = _window_scan(gen, window_level, 1e-10)
+    window = gen.section(window_level)
+    xs = [window.labels[v] for v in window.interior]
+    first = {}  # the first window label of each orbit, in window order
+    for x in xs:
+        first.setdefault(gen.orbit_label(x), x)
+    assert reps == list(first.values())
+    slot = {orbit: i for i, orbit in enumerate(first)}
     for level, column in zip(scan_levels, columns):
+        assert len(column) == len(reps)
         sec = gen.section(level)
         own = [equilibrium_potential(sec, x).cap for x in xs]
-        np.testing.assert_allclose(column, own, rtol=RTOL, atol=0)
+        orbit_value = [column[slot[gen.orbit_label(x)]] for x in xs]
+        np.testing.assert_allclose(orbit_value, own, rtol=RTOL, atol=0)
 
 
 def test_window_scan_solves_once_per_orbit(monkeypatch):
@@ -112,9 +120,10 @@ def test_window_scan_solves_once_per_orbit(monkeypatch):
 
     monkeypatch.setattr(potential, "equilibrium_potential", record)
     gen = R.lattice_generator(3)
-    _, xs, _ = _window_scan(gen, 2, 1e-10)
+    _, reps, _ = _window_scan(gen, 2, 1e-10)
     # 27 window vertices fall into 4 orbits, one solve each at each of 3 levels
-    assert len(xs) == 27
+    assert len(gen.section(2).interior) == 27
+    assert len(reps) == 4
     assert len(solved) == 12
     for level_solves in (solved[:4], solved[4:8], solved[8:]):
         assert sorted(gen.orbit_label(x) for x in level_solves) == [

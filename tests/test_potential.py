@@ -107,6 +107,14 @@ def test_gamma_small_oracles(p3_end_masked):
         R.gamma(p3_end_masked, 1, 1)
 
 
+def test_gamma_both_endpoints_masked(p3_both_masked):
+    # every admissible f vanishes at both ends
+    g = R.gamma(p3_both_masked, 0, 2)
+    assert (g.value, g.regime) == (0.0, "wired")
+    for o in (0, 1, 2):  # a masked pin, and one between the endpoints
+        assert R.gamma_o(p3_both_masked, o, 0, 2) == 0.0
+
+
 def test_gamma_free_fallback_and_infinite():
     # ungrounded single edge: kernel is the constants, differences see the
     # pseudo-inverse, so gamma equals the free resistance root
@@ -386,6 +394,30 @@ def test_interior_capacities_match_equilibrium_potentials(make):
     np.testing.assert_allclose(caps, per_vertex, rtol=1e-12, atol=0.0)
 
 
+def _count_operator_calls(monkeypatch):
+    """The arguments of every energy_matrix, splu and cg_solve call, by name."""
+    import scipy.sparse.linalg
+
+    import royden.numerics as numerics
+    import royden.potential as potential
+
+    calls = {}
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, []).append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(potential, "energy_matrix")
+    count(scipy.sparse.linalg, "splu")
+    count(numerics, "cg_solve")
+    return calls
+
+
 def test_interior_capacities_above_dense_cap(monkeypatch):
     import royden.potential as potential
 
@@ -395,7 +427,16 @@ def test_interior_capacities_above_dense_cap(monkeypatch):
     edges = _edges_of(z) + [(25, 26, 1.0), (26, 27, 2.0), (27, 28, 1.0), (29, 30, 1.0)]
     s = R.build_section(31, edges, dirichlet=list(z.mask) + [28])
     monkeypatch.setattr(potential, "DENSE_CAP", 4)
+    calls = _count_operator_calls(monkeypatch)
     caps = R.interior_capacities(s)
+    # one matrix for the dense blocks (path and pair), one operator for the
+    # large component, kept by the section: CG solves once, one factor the rest
+    assert [len(args[1]) for args in calls["energy_matrix"]] == [5, 9]
+    (key, held), = s.operators.items()
+    assert key == ("interior", int(s.interior_components[s.interior[0]]))
+    assert held.op.dimension == 9
+    assert len(calls["splu"]) == 1
+    assert len(calls["cg_solve"]) == 1
     inter = s.interior
     grounded = inter[inter < 29]
     A = _dense_laplacian(s)[np.ix_(grounded, grounded)]
@@ -463,26 +504,8 @@ def test_interior_capacities_assemble_one_energy_matrix(monkeypatch):
 def test_metric_ops_share_one_factored_operator(monkeypatch):
     import random
 
-    import scipy.sparse.linalg
-
-    import royden.numerics as numerics
-    import royden.potential as potential
-
     s = R.generate_lattice(3, 6)
-    calls = {}
-
-    def count(owner, name):
-        real = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            calls.setdefault(name, []).append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    count(potential, "energy_matrix")
-    count(scipy.sparse.linalg, "splu")
-    count(numerics, "cg_solve")
+    calls = _count_operator_calls(monkeypatch)
     labels = [s.labels[v] for v in s.interior]
     rng = random.Random(3)
     G = np.linalg.inv(_dense_laplacian(s)[np.ix_(s.interior, s.interior)])

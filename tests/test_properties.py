@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import royden as R
-from royden import spectral, walker
+from royden import potential, spectral, walker
 from royden.errors import UngroundedComponent
 
 WEIGHT = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
@@ -161,15 +161,20 @@ def test_ensure_grounded_raises_exactly_on_an_ungrounded_component(s):
 @given(sections())
 def test_interior_capacities_match_dense_inverse(s):
     A = _laplacian(s)
-    caps = R.interior_capacities(s)
+    dense = R.interior_capacities(s)
+    # with the cap at 1 every component of two or more vertices takes the
+    # sparse route
+    with mock.patch.object(potential, "DENSE_CAP", 1):
+        sparse = R.interior_capacities(s)
     inter = s.interior
-    for members, grounded in _reference_components(s):
-        pos = np.searchsorted(inter, members)
-        if grounded:
-            want = 1.0 / np.diag(np.linalg.inv(A[np.ix_(members, members)]))
-            np.testing.assert_allclose(caps[pos], want, rtol=1e-8, atol=0.0)
-        else:
-            assert (caps[pos] == 0.0).all()
+    for caps in (dense, sparse):
+        for members, grounded in _reference_components(s):
+            pos = np.searchsorted(inter, members)
+            if grounded:
+                want = 1.0 / np.diag(np.linalg.inv(A[np.ix_(members, members)]))
+                np.testing.assert_allclose(caps[pos], want, rtol=1e-8, atol=0.0)
+            else:
+                assert (caps[pos] == 0.0).all()
 
 
 def _two_vertices(s, data):

@@ -39,6 +39,33 @@ def test_spectrum_k_selection(path4):
         R.spectrum(path4, k=5)
 
 
+def test_spectrum_dense_route_above_cap_refused(monkeypatch):
+    from royden import spectral
+    from royden.errors import DimensionCap
+
+    # the 9-vertex interior of Z^2 r=2 over a cap of 5: k = None, n and
+    # n - 1 want the dense route and are refused before any Lanczos run
+    s = R.generate_lattice(2, 2)
+    want = R.spectrum(s).eigenvalues
+    monkeypatch.setattr(spectral, "DENSE_CAP", 5)
+    monkeypatch.setattr(spectral, "DENSE_SHORTCUT", 2)
+    runs = []
+    real = spectral.eigsh
+
+    def counted(*args, **kwargs):
+        runs.append(kwargs["k"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", counted)
+    for k in (None, 9, 8):
+        with pytest.raises(DimensionCap):
+            R.spectrum(s, k=k)
+    assert runs == []
+    out = R.spectrum(s, k=3)
+    assert (out.method, runs) == ("lanczos", [3])
+    np.testing.assert_allclose(out.eigenvalues, want[:3], rtol=1e-10)
+
+
 def test_spectrum_empty_interior():
     s = R.build_section(2, [(0, 1, 1.0)], dirichlet=[0, 1])
     for k in (None, 1):
