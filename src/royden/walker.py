@@ -14,12 +14,16 @@ degree or the weights: one uniform u per trial, the integer part of
 u * deg(v) picks one of v's slots, and its fractional part picks between
 the slot's neighbor and its alias. A step is a few flat gathers over the
 live trials. On a row of equal weights every slot keeps its neighbor,
-and the draw is the neighbor floor(u * deg(v)) in CSR order.
+and the draw is the neighbor floor(u * deg(v)) in CSR order; when no
+slot of the section lends, as on lattices and trees, the step skips the
+alias pass altogether.
 
 Randomness is counter-based: the uniform consumed by trial i at step k
 is a hash of (seed, i, k). Trials therefore own disjoint streams and the
 estimate is a pure function of (section, o, trials, seed), bit-identical
-under any chunking or thread count.
+under any chunking or thread count. Each chunk of trials hashes in three
+buffers of its own, and one gather of a per-vertex state (walking on,
+masked, origin) tells which trials absorbed and how.
 
 Once at most _TAIL trials are live, or after _LONG steps, each live
 trial is walked on to its end alone, in python scalars on the same
@@ -37,6 +41,7 @@ the limit.
 
 from __future__ import annotations
 
+import heapq
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -54,10 +59,17 @@ _TAIL = 64  # live trials at or below which each is finished on its own
 _LONG = 1 << 18  # steps after which every live trial is finished on its own
 
 
-def _mix64(z):
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z, tmp=None):
+    """The splitmix64 finaliser, in place on the uint64 array z; tmp is
+    scratch of z's shape."""
+    tmp = np.empty_like(z) if tmp is None else tmp
+    for shift, mul in (30, _MIX1), (27, _MIX2):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= mul
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
+    return z
 
 
 def _trial_keys(seed: int, trial_ids: np.ndarray) -> np.ndarray:
@@ -65,13 +77,23 @@ def _trial_keys(seed: int, trial_ids: np.ndarray) -> np.ndarray:
     return _mix64(base + _GOLDEN * (trial_ids.astype(np.uint64) + np.uint64(1)))
 
 
-def _uniforms(keys: np.ndarray, step: int) -> np.ndarray:
-    # counter-mode: uniforms depend only on (seed, trial, step); uint64
-    # wraparound is part of the mixing, computed in python ints to keep
-    # numpy from warning on intended overflow
-    offset = np.uint64((int(_GOLDEN) * (step + 1)) & 0xFFFFFFFFFFFFFFFF)
-    u64 = _mix64(keys + offset)
-    return (u64 >> np.uint64(11)) * 2.0**-53
+def _uniforms(keys: np.ndarray, step: int, out=None) -> np.ndarray:
+    """The uniform of each trial key at this step, in [0, 1).
+
+    Counter-mode: uniforms depend only on (seed, trial, step). out, if
+    given, is three buffers at least len(keys) long, two uint64 and one
+    float64; the hash runs in them and the result is a view of the third.
+    """
+    n = len(keys)
+    if out is None:
+        out = np.empty(n, np.uint64), np.empty(n, np.uint64), np.empty(n)
+    z, tmp, u = (b[:n] for b in out)
+    # the offset's uint64 wraparound computed in python ints, to keep
+    # numpy from warning on intended scalar overflow
+    np.add(keys, np.uint64((int(_GOLDEN) * (step + 1)) & 0xFFFFFFFFFFFFFFFF), out=z)
+    _mix64(z, tmp)
+    z >>= 11
+    return np.multiply(z, 2.0**-53, out=u)
 
 
 def _trial_uniforms(key: np.uint64, start: int, stop: int) -> list[float]:
@@ -106,9 +128,12 @@ class _Transitions:
     round closes the first slot with q < 1 of each row, lending its
     deficit to the row's first slot with q >= 1, and touches only the
     slots of rows that still pair. A row with d slots is done within
-    d - 1 rounds. On a row of equal weights q is 1 up to rounding, and
-    exactly 1 for the unit weights of lattices and trees, so every
-    accept is 1.
+    d - 1 rounds, so once at most _TAIL rows still pair, each is
+    finished alone by _pair_row in O(d log d), with the same pairs and
+    the same arithmetic. On a row of equal weights q is 1 up to rounding,
+    and exactly 1 for the unit weights of lattices and trees, so every
+    accept is 1; a table with no accept below 1 has _lends False, and
+    step skips the alias pass, which could not change a draw.
     """
 
     def __init__(self, s: Section):
@@ -121,7 +146,7 @@ class _Transitions:
         alias = nbr.copy()
 
         rows = np.unique(np.searchsorted(adj.indptr, np.flatnonzero(q < 1.0), side="right") - 1)
-        while len(rows):
+        while len(rows) > _TAIL:
             # the slots of rows, row after row; a row's first small (large)
             # slot is the least index among them where the flag holds, and
             # a closed slot's q is nan, neither small nor large
@@ -138,23 +163,55 @@ class _Transitions:
             alias[lo] = nbr[hi]
             q[hi] = (q[hi] + q[lo]) - 1.0
             q[lo] = np.nan
+        # a hub can take up to deg - 1 rounds; the few rows left pair alone
+        for v in rows.tolist():
+            slots = np.arange(adj.indptr[v], adj.indptr[v + 1])
+            lo, hi, q_lo = _pair_row(q[slots].tolist())
+            accept[slots[lo]] = q_lo
+            alias[slots[lo]] = nbr[slots[hi]]
         # slots still open carry q = 1 up to rounding and keep accept = 1
 
         self.start, self.deg = adj.indptr[:-1], deg.astype(float)
         self.nbr, self.accept, self.alias = nbr, accept, alias
+        # with no accept below 1 no fractional part reaches one: no slot lends
+        self._lends = bool((accept < 1.0).any())
 
     def step(self, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next vertex of each walker at pos, one uniform u in [0, 1) each."""
         x = u * self.deg.take(pos)
         slot = x.astype(np.intp)
-        x -= slot  # the fractional part picks the neighbor or the alias
+        if self._lends:
+            x -= slot  # the fractional part picks the neighbor or the alias
         slot += self.start.take(pos)
         # positions in intp: numpy casts a narrower index array at every gather
         nxt = self.nbr.take(slot).astype(np.intp)
-        lend = np.flatnonzero(x >= self.accept.take(slot))
-        if len(lend):
-            nxt[lend] = self.alias.take(slot[lend])
+        if self._lends:
+            lend = np.flatnonzero(x >= self.accept.take(slot))
+            if len(lend):
+                nxt[lend] = self.alias.take(slot[lend])
         return nxt
+
+
+def _pair_row(q: list[float]) -> tuple[list[int], list[int], list[float]]:
+    """Vose's pairing on one row's scaled masses, a closed slot's q nan.
+
+    The same pairs in the same order as the vectorised rounds: the least
+    open slot with q < 1 lends its deficit to the least open slot with
+    q >= 1, both kept in heaps, in O(d log d) for d slots. Returns the
+    closed slots, their partners and their accepts.
+    """
+    small = [j for j, x in enumerate(q) if x < 1.0]  # sorted lists are heaps
+    large = [j for j, x in enumerate(q) if x >= 1.0]
+    lo, hi, q_lo = [], [], []
+    while small and large:
+        j, k = heapq.heappop(small), large[0]
+        lo.append(j)
+        hi.append(k)
+        q_lo.append(q[j])
+        q[k] = (q[k] + q[j]) - 1.0
+        if q[k] < 1.0:
+            heapq.heappush(small, heapq.heappop(large))
+    return lo, hi, q_lo
 
 
 def _finish(trans: _Transitions, mask: np.ndarray, o: int, v: int, key: np.uint64, step: int) -> int:
@@ -193,6 +250,11 @@ def _run_chunk(
     ids = np.arange(start, stop, dtype=np.uint64)
     keys = _trial_keys(seed, ids)
     pos = np.full(len(ids), o, dtype=np.int64)
+    # each call owns its hash buffers: threads share trans
+    bufs = np.empty(len(ids), np.uint64), np.empty(len(ids), np.uint64), np.empty(len(ids))
+    # one gather tells each trial's fate: 0 walks on, 1 escaped, 2 returned
+    state = mask.astype(np.int8)
+    state[o] = 2
     successes = 0
     step = 0
     # a numpy step costs tens of microseconds however few trials are live,
@@ -200,10 +262,10 @@ def _run_chunk(
     # are a slow tail or held by a weight trap, and a trapped trial walked
     # on its own reaches _STEP_LIMIT in seconds rather than hours
     while len(pos) > _TAIL and step < _LONG:
-        pos = trans.step(pos, _uniforms(keys, step))
-        hit = mask[pos]
-        successes += int(np.count_nonzero(hit))
-        alive = ~hit & (pos != o)
+        pos = trans.step(pos, _uniforms(keys, step, bufs))
+        fate = state.take(pos)
+        successes += int(np.count_nonzero(fate == 1))
+        alive = fate == 0
         pos = pos[alive]
         keys = keys[alive]
         step += 1
@@ -222,10 +284,15 @@ def escape_probability(
     """Estimate P(hit the mask before returning to o) for the b-walk from o.
 
     Requires identically zero killing (the walk has no death mechanism)
-    and a mask reachable from o. Chunks of _CHUNK trials run threads at a
-    time (threads >= 1), and the estimate is deterministic in
+    and a mask reachable from o. trials, seed and threads are integers,
+    not bools. Chunks of _CHUNK trials run threads at a time
+    (threads >= 1), and the estimate is deterministic in
     (section, o, trials, seed) for any thread count.
     """
+    for name, value in ("trials", trials), ("seed", seed), ("threads", threads):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+    trials, seed, threads = int(trials), int(seed), int(threads)
     if trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
     if threads < 1:

@@ -3,7 +3,8 @@ capacities, metrics, Dirichlet solves and spectra built on them, against
 brute-force references and dense inverse, pseudo-inverse or generalized
 eigenvalue oracles on random sections; and the walker's alias tables
 against the transition probabilities b(v, y) / pi(v) and, bit for bit,
-against Vose's pairing on rows padded to the largest degree.
+against Vose's pairing on rows padded to the largest degree, on random
+sections and on weighted stars whose hubs pair alone.
 
 Sections have several interior components, some touching the mask, some
 carrying killing and some with neither; weights span 10^-3..10^3 (10^-6..
@@ -358,6 +359,31 @@ def test_alias_tables_match_the_padded_pairing(s):
     trans = walker._Transitions(s)
     accept, alias = _padded_alias_tables(s)
     assert trans.nbr.tolist() == s.adj.indices.tolist()
+    assert trans.accept.tobytes() == accept.tobytes()
+    assert trans.alias.tolist() == alias.tolist()
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.integers(1, 1000), min_size=1, max_size=3),
+    st.sampled_from([3.0, 6.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_hub_rows_paired_alone_match_the_padded_pairing(hubs, decades, seed):
+    # weighted stars, hub h at vertex h: rows left to the heaps pair alone
+    rng = np.random.default_rng(seed)
+    edges, n = [], len(hubs)
+    for h, leaves in enumerate(hubs):
+        w = 10.0 ** rng.uniform(-decades, decades, leaves)
+        edges += [(h, v, x) for v, x in enumerate(w.tolist(), n)]
+        n += leaves
+    s = R.build_section(n, edges, dirichlet=[n - 1])
+    alone = []
+    pair_row = walker._pair_row
+    with mock.patch.object(walker, "_pair_row", lambda q: alone.append(len(q)) or pair_row(q)):
+        trans = walker._Transitions(s)
+    assert sorted(d for d in hubs if d > 1) == sorted(d for d in alone if d > 1)
+    accept, alias = _padded_alias_tables(s)
     assert trans.accept.tobytes() == accept.tobytes()
     assert trans.alias.tolist() == alias.tolist()
 

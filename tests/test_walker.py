@@ -70,6 +70,35 @@ def test_validations(p3_end_masked, killed_point):
         R.escape_probability(free, 0, trials=10, seed=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"trials": 2.5},
+        {"trials": True},
+        {"trials": "10"},
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": None},
+        {"threads": 1.5},
+        {"threads": True},
+    ],
+)
+def test_non_integer_arguments_refused(p3_end_masked, kwargs):
+    args = {"trials": 10, "seed": 0, "threads": 1, **kwargs}
+    name = next(iter(kwargs))
+    with pytest.raises(InvalidParameter, match=f"{name} must be an integer"):
+        R.escape_probability(p3_end_masked, 0, **args)
+
+
+def test_numpy_integer_arguments_accepted(p3_end_masked):
+    want = R.escape_probability(p3_end_masked, 0, trials=1000, seed=3, threads=2)
+    got = R.escape_probability(
+        p3_end_masked, 0, trials=np.int64(1000), seed=np.uint32(3), threads=np.int8(2)
+    )
+    assert got == want
+    assert type(got.trials) is int and type(got.seed) is int
+
+
 def test_random_fixture_capacity_match():
     rng = np.random.default_rng(40)
     for _ in range(5):
@@ -118,6 +147,76 @@ def test_equal_weight_counts_are_pinned():
     s = R.generate_lattice(3, 8)
     got = [R.escape_probability(s, (0, 0, 0), trials=20_000, seed=k).successes for k in (1, 2, 3)]
     assert got == [13576, 13777, 13698]
+
+
+def _log_uniform_z2():
+    """Z^2 r=20 with edge weights log-uniform over 10^-3..10^3."""
+    z = R.generate_lattice(2, 20)
+    coo = z.adj.tocoo()
+    up = coo.row < coo.col
+    w = 10.0 ** np.random.default_rng(0).uniform(-3.0, 3.0, int(up.sum()))
+    edges = zip(coo.row[up].tolist(), coo.col[up].tolist(), w.tolist())
+    return R.build_section(z.n, edges, dirichlet=z.mask, labels=z.labels)
+
+
+def test_weighted_counts_are_pinned():
+    # recorded before unit-weight tables skipped the lending pass: on
+    # weighted tables that pass still runs and must draw as before
+    s = random_section(np.random.default_rng(40), n_max=20)
+    z = _log_uniform_z2()
+    assert walker._Transitions(s)._lends and walker._Transitions(z)._lends
+    o = s.labels[int(s.interior[0])]
+    got = [R.escape_probability(s, o, trials=20_000, seed=k).successes for k in (1, 2, 3)]
+    assert got == [10087, 10126, 10147]
+    got = [R.escape_probability(z, (0, 0), trials=20_000, seed=k).successes for k in (1, 2)]
+    assert got == [57, 56]
+
+
+@pytest.mark.parametrize(
+    "section",
+    [R.generate_lattice(3, 6), R.generate_lattice(1, 50), R.generate_tree(3, 6)],
+    ids=["z3-r6", "z1-r50", "tree-k3"],
+)
+def test_skipped_lending_pass_draws_the_same_vertices(section):
+    # unit weights: every accept is 1, so no fractional part lends
+    trans = walker._Transitions(section)
+    assert not trans._lends
+    rng = np.random.default_rng(5)
+    pos = rng.choice(np.flatnonzero(np.diff(section.adj.indptr)), size=20_000)
+    u = walker._uniforms(walker._trial_keys(7, np.arange(len(pos))), 3)
+    u[:2] = 0.0, 1.0 - 2.0**-53  # the least and the largest uniform drawn
+    skipped = trans.step(pos, u)
+    trans._lends = True
+    assert trans.step(pos, u).tolist() == skipped.tolist()
+
+
+@pytest.mark.parametrize("n", [0, 1, 65, 20_000, walker._CHUNK])
+def test_uniforms_into_buffers_equal_the_allocating_form(n):
+    keys = walker._trial_keys(11, np.arange(n, dtype=np.uint64))
+    size = walker._CHUNK
+    bufs = np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size)
+    for step in (0, 1, 2353, walker._STEP_LIMIT):
+        got = walker._uniforms(keys, step, bufs)
+        assert got.tobytes() == walker._uniforms(keys, step).tobytes()
+        assert np.shares_memory(got, bufs[2]) or n == 0
+    # the keys are read, never written
+    assert keys.tobytes() == walker._trial_keys(11, np.arange(n, dtype=np.uint64)).tobytes()
+
+
+def _weighted_star(leaves, seed):
+    w = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, leaves)
+    return R.build_section(leaves + 1, [(0, v, x) for v, x in enumerate(w.tolist(), 1)], dirichlet=[1])
+
+
+def test_weighted_hub_finished_alone_equals_the_rounds(monkeypatch):
+    # with no row left to the heaps every hub takes its deg - 1 rounds
+    s = _weighted_star(4000, seed=3)
+    heaps = walker._Transitions(s)
+    monkeypatch.setattr(walker, "_TAIL", 0)
+    rounds = walker._Transitions(s)
+    assert heaps.accept.tobytes() == rounds.accept.tobytes()
+    assert heaps.alias.tolist() == rounds.alias.tolist()
+    assert (heaps.accept < 1.0).sum() > 3000
 
 
 @pytest.mark.parametrize("deg", range(1, 65))
