@@ -57,6 +57,10 @@ _STEP_LIMIT = 50_000_000
 _CHUNK = 65536  # trials per chunk, the unit of work a thread takes
 _TAIL = 64  # live trials at or below which each is finished on its own
 _LONG = 1 << 18  # steps after which every live trial is finished on its own
+# slots above which a row's alias table pairs alone in heaps rather than
+# in the vectorised rounds: on k weighted stars of d leaves each the two
+# cost the same near d = 128 (k = 100) to 180 (k = 1000)
+_WIDE = 128
 
 
 def _mix64(z, tmp=None):
@@ -77,16 +81,14 @@ def _trial_keys(seed: int, trial_ids: np.ndarray) -> np.ndarray:
     return _mix64(base + _GOLDEN * (trial_ids.astype(np.uint64) + np.uint64(1)))
 
 
-def _uniforms(keys: np.ndarray, step: int, out=None) -> np.ndarray:
+def _uniforms(keys: np.ndarray, step: int, out) -> np.ndarray:
     """The uniform of each trial key at this step, in [0, 1).
 
-    Counter-mode: uniforms depend only on (seed, trial, step). out, if
-    given, is three buffers at least len(keys) long, two uint64 and one
-    float64; the hash runs in them and the result is a view of the third.
+    Counter-mode: uniforms depend only on (seed, trial, step). out is
+    three buffers at least len(keys) long, two uint64 and one float64;
+    the hash runs in them and the result is a view of the third.
     """
     n = len(keys)
-    if out is None:
-        out = np.empty(n, np.uint64), np.empty(n, np.uint64), np.empty(n)
     z, tmp, u = (b[:n] for b in out)
     # the offset's uint64 wraparound computed in python ints, to keep
     # numpy from warning on intended scalar overflow
@@ -128,9 +130,9 @@ class _Transitions:
     round closes the first slot with q < 1 of each row, lending its
     deficit to the row's first slot with q >= 1, and touches only the
     slots of rows that still pair. A row with d slots is done within
-    d - 1 rounds, so once at most _TAIL rows still pair, each is
-    finished alone by _pair_row in O(d log d), with the same pairs and
-    the same arithmetic. On a row of equal weights q is 1 up to rounding,
+    d - 1 rounds, so a row of more than _WIDE slots, such as a hub,
+    pairs alone in _pair_row in O(d log d) instead, with the same pairs
+    and the same arithmetic. On a row of equal weights q is 1 up to rounding,
     and exactly 1 for the unit weights of lattices and trees, so every
     accept is 1; a table with no accept below 1 has _lends False, and
     step skips the alias pass, which could not change a draw.
@@ -146,7 +148,16 @@ class _Transitions:
         alias = nbr.copy()
 
         rows = np.unique(np.searchsorted(adj.indptr, np.flatnonzero(q < 1.0), side="right") - 1)
-        while len(rows) > _TAIL:
+        wide = deg[rows] > _WIDE
+        # a row of d slots takes up to d - 1 rounds over all its slots: a
+        # wide row pairs alone in O(d log d)
+        for v in rows[wide].tolist():
+            slots = np.arange(adj.indptr[v], adj.indptr[v + 1])
+            lo, hi, q_lo = _pair_row(q[slots].tolist())
+            accept[slots[lo]] = q_lo
+            alias[slots[lo]] = nbr[slots[hi]]
+        rows = rows[~wide]
+        while len(rows):
             # the slots of rows, row after row; a row's first small (large)
             # slot is the least index among them where the flag holds, and
             # a closed slot's q is nan, neither small nor large
@@ -163,12 +174,6 @@ class _Transitions:
             alias[lo] = nbr[hi]
             q[hi] = (q[hi] + q[lo]) - 1.0
             q[lo] = np.nan
-        # a hub can take up to deg - 1 rounds; the few rows left pair alone
-        for v in rows.tolist():
-            slots = np.arange(adj.indptr[v], adj.indptr[v + 1])
-            lo, hi, q_lo = _pair_row(q[slots].tolist())
-            accept[slots[lo]] = q_lo
-            alias[slots[lo]] = nbr[slots[hi]]
         # slots still open carry q = 1 up to rounding and keep accept = 1
 
         self.start, self.deg = adj.indptr[:-1], deg.astype(float)

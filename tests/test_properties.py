@@ -355,12 +355,16 @@ def _padded_alias_tables(s):
 @PROPERTY_SETTINGS
 @given(sections(weight=WIDE_WEIGHT))
 def test_alias_tables_match_the_padded_pairing(s):
-    # the same pairs in the same rounds: every accept bit and every alias
-    trans = walker._Transitions(s)
+    # the same pairs in the same rounds: every accept bit and every alias,
+    # whether the rows pair in the vectorised rounds or alone in heaps
     accept, alias = _padded_alias_tables(s)
-    assert trans.nbr.tolist() == s.adj.indices.tolist()
-    assert trans.accept.tobytes() == accept.tobytes()
-    assert trans.alias.tolist() == alias.tolist()
+    rounds = walker._Transitions(s)
+    with mock.patch.object(walker, "_WIDE", 0):
+        heaps = walker._Transitions(s)
+    for trans in rounds, heaps:
+        assert trans.nbr.tolist() == s.adj.indices.tolist()
+        assert trans.accept.tobytes() == accept.tobytes()
+        assert trans.alias.tolist() == alias.tolist()
 
 
 @PROPERTY_SETTINGS
@@ -370,7 +374,7 @@ def test_alias_tables_match_the_padded_pairing(s):
     st.integers(0, 2**32 - 1),
 )
 def test_hub_rows_paired_alone_match_the_padded_pairing(hubs, decades, seed):
-    # weighted stars, hub h at vertex h: rows left to the heaps pair alone
+    # weighted stars, hub h at vertex h: rows wider than _WIDE pair alone
     rng = np.random.default_rng(seed)
     edges, n = [], len(hubs)
     for h, leaves in enumerate(hubs):
@@ -382,7 +386,7 @@ def test_hub_rows_paired_alone_match_the_padded_pairing(hubs, decades, seed):
     pair_row = walker._pair_row
     with mock.patch.object(walker, "_pair_row", lambda q: alone.append(len(q)) or pair_row(q)):
         trans = walker._Transitions(s)
-    assert sorted(d for d in hubs if d > 1) == sorted(d for d in alone if d > 1)
+    assert sorted(d for d in hubs if d > walker._WIDE) == sorted(alone)
     accept, alias = _padded_alias_tables(s)
     assert trans.accept.tobytes() == accept.tobytes()
     assert trans.alias.tolist() == alias.tolist()

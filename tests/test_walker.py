@@ -183,40 +183,52 @@ def test_skipped_lending_pass_draws_the_same_vertices(section):
     assert not trans._lends
     rng = np.random.default_rng(5)
     pos = rng.choice(np.flatnonzero(np.diff(section.adj.indptr)), size=20_000)
-    u = walker._uniforms(walker._trial_keys(7, np.arange(len(pos))), 3)
+    u = walker._uniforms(walker._trial_keys(7, np.arange(len(pos))), 3, _buffers(len(pos)))
     u[:2] = 0.0, 1.0 - 2.0**-53  # the least and the largest uniform drawn
     skipped = trans.step(pos, u)
     trans._lends = True
     assert trans.step(pos, u).tolist() == skipped.tolist()
 
 
-@pytest.mark.parametrize("n", [0, 1, 65, 20_000, walker._CHUNK])
-def test_uniforms_into_buffers_equal_the_allocating_form(n):
+def _buffers(n):
+    return np.empty(n, np.uint64), np.empty(n, np.uint64), np.empty(n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 65, 2_000])
+def test_uniforms_into_buffers_equal_the_scalar_form(n):
     keys = walker._trial_keys(11, np.arange(n, dtype=np.uint64))
-    size = walker._CHUNK
-    bufs = np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size)
+    bufs = _buffers(walker._CHUNK)
     for step in (0, 1, 2353, walker._STEP_LIMIT):
         got = walker._uniforms(keys, step, bufs)
-        assert got.tobytes() == walker._uniforms(keys, step).tobytes()
+        want = [walker._trial_uniforms(k, step, step + 1)[0] for k in keys]
+        assert got.tolist() == want
         assert np.shares_memory(got, bufs[2]) or n == 0
     # the keys are read, never written
     assert keys.tobytes() == walker._trial_keys(11, np.arange(n, dtype=np.uint64)).tobytes()
 
 
-def _weighted_star(leaves, seed):
-    w = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, leaves)
-    return R.build_section(leaves + 1, [(0, v, x) for v, x in enumerate(w.tolist(), 1)], dirichlet=[1])
+def _weighted_stars(hubs, leaves, seed):
+    # hub h at vertex h, its leaves after all hubs
+    w = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, hubs * leaves)
+    edges = zip(np.repeat(np.arange(hubs), leaves).tolist(), range(hubs, hubs * (leaves + 1)), w.tolist())
+    return R.build_section(hubs * (leaves + 1), edges, dirichlet=[hubs])
 
 
-def test_weighted_hub_finished_alone_equals_the_rounds(monkeypatch):
-    # with no row left to the heaps every hub takes its deg - 1 rounds
-    s = _weighted_star(4000, seed=3)
+@pytest.mark.parametrize("hubs, leaves", [(1, 4000), (80, 200)])
+def test_weighted_hubs_paired_alone_equal_the_rounds(monkeypatch, hubs, leaves):
+    # rows wider than _WIDE pair alone however many of them there are;
+    # with _WIDE above every degree each hub takes its deg - 1 rounds
+    s = _weighted_stars(hubs, leaves, seed=3)
+    alone, pair_row = [], walker._pair_row
+    monkeypatch.setattr(walker, "_pair_row", lambda q: alone.append(len(q)) or pair_row(q))
     heaps = walker._Transitions(s)
-    monkeypatch.setattr(walker, "_TAIL", 0)
+    assert alone == [leaves] * hubs
+    monkeypatch.setattr(walker, "_WIDE", leaves)
     rounds = walker._Transitions(s)
+    assert alone == [leaves] * hubs
     assert heaps.accept.tobytes() == rounds.accept.tobytes()
     assert heaps.alias.tolist() == rounds.alias.tolist()
-    assert (heaps.accept < 1.0).sum() > 3000
+    assert (heaps.accept < 1.0).sum() > 0.75 * hubs * leaves
 
 
 @pytest.mark.parametrize("deg", range(1, 65))
