@@ -11,12 +11,12 @@ entries. Every answer, on either route, is accepted only when its true
 residual meets the relative tolerance. solve_rank_one adds a pin
 e_o e_o^T by a Sherman-Morrison update, two solves against the held
 operator. Interior capacities need the diagonal of an operator's
-inverse: up to DENSE_CAP unknowns dense Cholesky (LAPACK dpotrf, worked
-in place on one dense copy) gives it, above it one solve per unit vector
-against the held operator, so its one factor answers all but the first.
-Dense eigensolves reduce the generalized pencil (A, M) with
-diagonal M to an ordinary symmetric problem through the M^(-1/2)
-similarity.
+inverse: up to DENSE_CAP unknowns dense Cholesky (LAPACK dpotrf and
+dpotri, in place on one dense copy) gives it, above it one solve per unit
+vector against the held operator, so its one factor answers all but the
+first. Dense eigensolves reduce the pencil (A, M) with diagonal M to an
+ordinary symmetric problem through the M^(-1/2) similarity; LAPACK reads
+one triangle of that copy, so it is never symmetrized.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ DIRECT_CAP = 12_000_000
 # stall after 7-20% of it
 STALL_WINDOW = 0.1
 STALL_DROP = 0.25
-SYMMETRIZE_TILE = 256
 
 
 class SymOperator:
@@ -189,8 +188,8 @@ def cg_solve(
 
     Convergence means ||A x - rhs|| <= rel_tol * ||rhs|| in the Euclidean
     norm (checked on the true residual, not the recurrence). Raises
-    NoConvergence past default_max_iter(n) iterations and
-    SingularOperator on a zero-curvature breakdown. The iteration runs on
+    NoConvergence past default_max_iter(n) iterations or once r^T z is 0,
+    and SingularOperator on a zero-curvature breakdown. The iteration runs on
     rhs scaled by a power of two to a peak in [0.5, 1), which is exact,
     so tiny or huge data cannot underflow or overflow in its inner
     products.
@@ -234,6 +233,13 @@ def cg_solve(
     lowest = [b_norm]  # lowest[k]: the smallest residual after k iterations
 
     for it in range(1, max_iter + 1):
+        if rz == 0.0:  # r is not 0 here: r^T z underflowed (huge diagonal)
+            r_norm = math.ldexp(r_norm, shift)
+            raise NoConvergence(
+                f"breakdown after {it - 1} iterations: r^T z is 0 (residual {r_norm:g})",
+                iterations=it - 1,
+                residual=r_norm,
+            )
         Ap = A.apply(p)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
@@ -279,13 +285,13 @@ def cg_solve(
     )
 
 
-def cholesky(a: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor of the dense symmetric a, written over a.
+def inverse_diagonal(a: np.ndarray) -> np.ndarray:
+    """diag(a^(-1)) for the dense positive definite a, worked in a.
 
-    a is in Fortran order so LAPACK dpotrf factors it in place; the
-    strict lower triangle keeps a's entries. Sizes above DENSE_CAP are
-    refused, and SingularOperator is raised when a is not numerically
-    positive definite.
+    a is in Fortran order, so LAPACK dpotrf factors it in place and
+    dpotri turns the factor into the inverse in place: no n x n array is
+    allocated. Sizes above DENSE_CAP are refused, and SingularOperator is
+    raised when a is not numerically positive definite.
     """
     n = a.shape[0]
     if n > DENSE_CAP:
@@ -295,16 +301,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     factor, info = lapack.dpotrf(a, overwrite_a=1, clean=0)
     if info > 0:
         raise SingularOperator(f"leading minor of order {info} is not positive definite")
-    return factor
-
-
-def inverse_diagonal(a: np.ndarray) -> np.ndarray:
-    """diag(a^(-1)) for the dense positive definite a, through cholesky().
-
-    LAPACK dpotri turns the factor into the inverse in place, so the
-    whole computation works in a and allocates no n x n array.
-    """
-    inverse, info = lapack.dpotri(cholesky(a), overwrite_c=1)
+    inverse, info = lapack.dpotri(factor, overwrite_c=1)
     if info > 0:
         raise SingularOperator(f"factor has a zero pivot at {info}")
     return inverse.diagonal().copy()
@@ -356,7 +353,8 @@ def dense_eigh(A, M: np.ndarray, vectors: bool = True) -> DenseEigh:
     (V^T diag(M) V = I). With vectors=False only the eigenvalues are
     computed (LAPACK dsyevr without vectors reduces to dsterf, far
     cheaper on degenerate spectra) and eigenvectors is None. Sizes above
-    DENSE_CAP are refused.
+    DENSE_CAP are refused, and a scaled copy M^(-1/2) A M^(-1/2) with an
+    overflowing entry raises InvalidParameter.
     """
     if not sp.issparse(A):
         A = np.asarray(A, dtype=float)
@@ -368,25 +366,18 @@ def dense_eigh(A, M: np.ndarray, vectors: bool = True) -> DenseEigh:
         raise InvalidParameter("shape mismatch between pencil parts")
     if np.any(M <= 0):
         raise InvalidParameter("mass diagonal must be strictly positive")
-    # scale, symmetrize and solve in one working copy; B is exactly
-    # symmetric, so its Fortran-order view B.T lets eigh overwrite it
+    # scale and solve in one working copy; dsyevr reads only the lower
+    # triangle of the Fortran-order view B.T, so B is not symmetrized
     s = 1.0 / np.sqrt(M)
     B = A.toarray() if sp.issparse(A) else A.copy()
-    B *= s[:, None]
-    B *= s[None, :]
-    # B = (B + B^T) / 2 tile by tile: the whole-matrix B += B.T overlaps
-    # its operands, so numpy would copy all of B.T first
-    for i in range(0, n, SYMMETRIZE_TILE):
-        for j in range(i, n, SYMMETRIZE_TILE):
-            upper = B[i : i + SYMMETRIZE_TILE, j : j + SYMMETRIZE_TILE]
-            lower = B[j : j + SYMMETRIZE_TILE, i : i + SYMMETRIZE_TILE]
-            mean = upper + lower.T
-            mean *= 0.5
-            upper[...] = mean
-            lower[...] = mean.T
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        B *= s[:, None]
+        B *= s[None, :]
+    if not np.isfinite(B).all():  # then lambda_max is not representable either
+        raise InvalidParameter("pencil entries overflow once scaled by the masses")
     if not vectors:
-        w = scipy.linalg.eigh(B.T, overwrite_a=True, eigvals_only=True)
+        w = scipy.linalg.eigh(B.T, overwrite_a=True, check_finite=False, eigvals_only=True)
         return DenseEigh(eigenvalues=w, eigenvectors=None)
-    w, V = scipy.linalg.eigh(B.T, overwrite_a=True)
+    w, V = scipy.linalg.eigh(B.T, overwrite_a=True, check_finite=False)
     V *= s[:, None]
     return DenseEigh(eigenvalues=w, eigenvectors=V)

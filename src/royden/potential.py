@@ -187,24 +187,33 @@ class CapacityProfile:
 
 
 def _fit_extrapolation(levels, values) -> Extrapolation:
+    # fit the values scaled by a power of two to a peak in [0.5, 1): exact,
+    # and sums and squares of capacities near the float range cannot overflow
+    shift = math.frexp(float(np.max(np.abs(values))))[1]
+    scaled = np.ldexp(np.asarray(values, dtype=float), -shift)
     if len(values) < 3:
         return Extrapolation(
             limit=float(values[-1]),
             model="none",
-            plateau_value=float(np.mean(values)),
+            plateau_value=math.ldexp(float(np.mean(scaled)), shift),
             decay_coefficient=0.0,
             plateau_sse=float("nan"),
             decay_sse=float("nan"),
         )
     k = len(values) // 2  # fit on the last half of the levels
     win_l = np.asarray(levels[k:], dtype=float)
-    win_v = np.asarray(values[k:], dtype=float)
+    win_v = scaled[k:]
     plateau = float(np.mean(win_v))
     plateau_sse = float(np.sum((win_v - plateau) ** 2))
     u = 1.0 / np.log(np.maximum(win_l, 2.0))
     coeff = float(np.dot(win_v, u) / np.dot(u, u))
     decay_sse = float(np.sum((win_v - coeff * u) ** 2))
-    if plateau_sse <= decay_sse:
+    plateau_wins = plateau_sse <= decay_sse  # compared scaled
+    with np.errstate(over="ignore"):  # a coefficient or SSE past the float range is inf
+        plateau, coeff, plateau_sse, decay_sse = np.ldexp(
+            [plateau, coeff, plateau_sse, decay_sse], [shift, shift, 2 * shift, 2 * shift]
+        ).tolist()
+    if plateau_wins:
         return Extrapolation(
             limit=plateau,
             model="plateau",
@@ -423,6 +432,20 @@ def _endpoint_components(s: Section, xi: int, yi: int) -> list:
     return sorted({int(s.interior_components[v]) for v in (xi, yi) if not s.dirichlet[v]})
 
 
+def _gamma_squared(s: Section, xi: int, yi: int, rel_tol: float, pin=None) -> tuple:
+    """(value squared, regime) of gamma, or of gamma_o pinned at pin."""
+    if s.dirichlet[xi] and s.dirichlet[yi]:
+        return 0.0, "wired"
+    cids = _endpoint_components(s, xi, yi)
+    if s.grounded[cids].all():
+        value = sum(_dual_form(_support(s, ("interior", c)), xi, yi, rel_tol, pin) for c in cids)
+        return value, "wired"
+    if s.interior_components[xi] == s.interior_components[yi]:
+        # ungrounded shared component: it is a whole connected component
+        return _resistance(s, xi, yi, rel_tol), "free-fallback"
+    return math.inf, "recurrent-section"
+
+
 def gamma(s: Section, x, y, rel_tol: float = 1e-10) -> GammaValue:
     """Energy metric between two vertices under wired boundary semantics.
 
@@ -438,21 +461,8 @@ def gamma(s: Section, x, y, rel_tol: float = 1e-10) -> GammaValue:
     xi, yi = s.index_of(x), s.index_of(y)
     if xi == yi:
         raise SameVertex(f"gamma needs two distinct vertices, got {x!r} twice")
-    if s.dirichlet[xi] and s.dirichlet[yi]:
-        return GammaValue(0.0, "wired")
-
-    cids = _endpoint_components(s, xi, yi)
-    if s.grounded[cids].all():
-        value = sum(_dual_form(_support(s, ("interior", c)), xi, yi, rel_tol) for c in cids)
-        return GammaValue(float(np.sqrt(value)), "wired")
-
-    if s.interior_components[xi] == s.interior_components[yi]:
-        # ungrounded shared component: it is a whole connected component,
-        # and constants drop out of differences, leaving its free
-        # effective resistance
-        return GammaValue(float(np.sqrt(_resistance(s, xi, yi, rel_tol))), "free-fallback")
-
-    return GammaValue(math.inf, "recurrent-section")
+    value, regime = _gamma_squared(s, xi, yi, rel_tol)
+    return GammaValue(float(np.sqrt(value)), regime)
 
 
 def gamma_o(s: Section, o, x, y, rel_tol: float = 1e-10) -> float:
@@ -463,7 +473,7 @@ def gamma_o(s: Section, o, x, y, rel_tol: float = 1e-10) -> float:
     component is a rank-one update of that component's operator. On an
     ungrounded component (which then holds x, y and o) subtracting the
     constant f(o) leaves energy and differences alone, so the value is
-    the free effective resistance.
+    the free effective resistance; +inf never arises.
     """
     xi, yi, oi = s.index_of(x), s.index_of(y), s.index_of(o)
     if xi == yi:
@@ -471,13 +481,7 @@ def gamma_o(s: Section, o, x, y, rel_tol: float = 1e-10) -> float:
     full = s.full_components
     if not (full[xi] == full[yi] == full[oi]):
         raise DisconnectedPair("x, y and o must share a connected component")
-    if s.dirichlet[xi] and s.dirichlet[yi]:
-        return 0.0
-    cids = _endpoint_components(s, xi, yi)
-    if not s.grounded[cids].all():
-        return float(np.sqrt(_resistance(s, xi, yi, rel_tol)))
-    value = sum(_dual_form(_support(s, ("interior", c)), xi, yi, rel_tol, pin=oi) for c in cids)
-    return float(np.sqrt(value))
+    return float(np.sqrt(_gamma_squared(s, xi, yi, rel_tol, pin=oi)[0]))
 
 
 def free_resistance(s: Section, x, y, rel_tol: float = 1e-10) -> float:

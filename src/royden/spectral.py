@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .energy import energy, energy_matrix
 from .errors import (
@@ -30,6 +30,7 @@ from .errors import (
     EmptyInterior,
     InvalidParameter,
     NegativeTime,
+    NoConvergence,
 )
 from .graph import Section, VertexFn, check_bound
 from .numerics import DENSE_CAP, dense_eigh
@@ -63,7 +64,8 @@ def spectrum(s: Section, k: int | None = None, vectors: bool = True) -> Spectral
     when the interior has at most DENSE_SHORTCUT vertices or
     k >= interior size - 1, and returns the k smallest pairs; whenever
     it is chosen for an interior above DENSE_CAP, DimensionCap is raised.
-    Otherwise a shift-invert Lanczos run at sigma = 0 finds them, which
+    Otherwise a shift-invert Lanczos run at sigma = 0 from a seeded random
+    start finds them (an ARPACK failure raises NoConvergence), which
     needs every interior component grounded (else UngroundedComponent).
     With vectors=False neither route computes eigenvectors, and the
     result's eigenvectors is None.
@@ -100,17 +102,15 @@ def spectrum(s: Section, k: int | None = None, vectors: bool = True) -> Spectral
             method="dense",
         )
     s.ensure_grounded()  # the shift-invert factorization at 0 needs it
-    # deterministic start vector
-    v0 = np.ones(ni) / math.sqrt(ni)
-    out = eigsh(
-        A.matrix,
-        k=k,
-        M=sp.diags(mass).tocsc(),
-        sigma=0,
-        which="LM",
-        v0=v0,
-        return_eigenvectors=vectors,
-    )
+    # seeded random start: every automorphism fixes a constant vector, whose
+    # Krylov space misses the eigenvalues with non-symmetric eigenvectors
+    v0 = np.random.default_rng(0).standard_normal(ni)
+    try:
+        out = eigsh(
+            A.matrix, k=k, M=sp.diags(mass).tocsc(), sigma=0, v0=v0, return_eigenvectors=vectors
+        )
+    except ArpackError as failure:  # ArpackNoConvergence included
+        raise NoConvergence(f"Lanczos run for {k} eigenvalues failed: {failure}") from None
     w, V = out if vectors else (out, None)
     order = np.argsort(w)
     return SpectralResult(

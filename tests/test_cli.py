@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -168,6 +169,77 @@ def test_spectrum_bounds_trace_gapcheck(capsys, graph_file):
     assert len(payload["points"]) == 2
     payload = run_json(capsys, "gapcheck", "--graph", graph_file, "--seed", "3")
     assert payload["verified"]
+
+
+def run_clean(capsys, *argv):
+    """main(argv) with every warning raised as an error; stderr must stay empty."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--graph", "{huge}"],
+        ["spectrum", "--generator", "lattice:d=2,r=2,c=1e308"],
+    ],
+    ids=["graph-file", "generator"],
+)
+def test_spectra_with_entries_near_the_float_range_exit_0(capsys, tmp_path, argv):
+    huge = tmp_path / "huge.graph"
+    huge.write_text("V 2\nC 1 1e308\n")
+    code, out = run_clean(capsys, *(a.format(huge=huge) for a in argv))
+    assert code == 0, out
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema_for("spectrum"))
+    assert max(payload["eigenvalues"]) == pytest.approx(1e308)
+
+
+def test_spectrum_whose_scaled_pencil_overflows_exits_1(capsys, tmp_path):
+    # a mass of 1e-300 under a weight of 1e300: lambda = 1e600
+    path = tmp_path / "tiny-mass.graph"
+    path.write_text("V 2\nE 0 1 1e300\nM 0 1e-300\nD 1\n")
+    code, out = run_clean(capsys, "spectrum", "--graph", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == "InvalidParameter"
+
+
+def test_spectrum_lanczos_k20_on_a_tree_matches_dense(capsys):
+    # ARPACK started from a constant vector missed multiplicities here and
+    # failed outright at k = 20
+    spec = "tree:k=3,depth=10"
+    code, out = run_clean(capsys, "spectrum", "--generator", spec, "--k", "20")
+    assert code == 0, out
+    payload = json.loads(out)
+    assert payload["method"] == "lanczos"
+    dense = run_json(capsys, "spectrum", "--generator", spec)["eigenvalues"]
+    np.testing.assert_allclose(payload["eigenvalues"], dense[:20], rtol=0, atol=1e-10 * dense[-1])
+
+
+def test_ut_report_with_underflowing_cg_products_ends_typed(capsys):
+    # c = 1e308 makes the preconditioned residual product underflow to 0
+    code, out = run(capsys, "ut-report", "--generator", "lattice:d=2,c=1e308")
+    payload = json.loads(out)
+    if code == 0:
+        jsonschema.validate(payload, schema_for("ut-report"))
+        assert "NaN" not in out
+    else:
+        assert code == 1
+        jsonschema.validate(payload, schema_for("error"))
+        assert issubclass(getattr(R.errors, payload["error"]), R.RoydenError)
+
+
+def test_classify_with_huge_capacities_keeps_stderr_empty(capsys):
+    code, out = run_clean(capsys, "classify", "--generator", "tree:k=3,c0=1e308")
+    assert code == 0, out
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema_for("classify"))
+    assert payload["verdict"] == "transient"
+    assert payload["profile"]["limit"] == pytest.approx(1e308)
 
 
 def test_hbempty_and_liouville(capsys):

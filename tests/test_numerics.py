@@ -7,7 +7,6 @@ from royden.errors import DimensionCap, InvalidParameter, NoConvergence, Singula
 from royden.numerics import (
     SymOperator,
     cg_solve,
-    cholesky,
     dense_eigh,
     inverse_diagonal,
     solve_rank_one,
@@ -78,6 +77,20 @@ def test_cg_budget_exhaustion(monkeypatch):
     assert err.value.iterations == 2
 
 
+def test_cg_breakdown_hands_over_to_the_factor():
+    # a 2D grid Laplacian scaled by 2^1015: once the residual is near 1e-8,
+    # r^T z underflows to 0 before CG converges
+    T = sp.diags([np.full(9, -1.0), np.full(10, 2.0), np.full(9, -1.0)], [-1, 0, 1])
+    L = (sp.kron(T, sp.identity(10)) + sp.kron(sp.identity(10), T)).tocsr()
+    rhs = np.random.default_rng(1).standard_normal(100)
+    with pytest.raises(NoConvergence) as err:
+        cg_solve(SymOperator(L * 2.0**1015), rhs)
+    assert 0 < err.value.iterations < numerics.default_max_iter(100)
+    res = SymOperator(L * 2.0**1015).solve(rhs)
+    assert res.iterations == err.value.iterations
+    np.testing.assert_allclose(np.ldexp(res.x, 1015), np.linalg.solve(L.toarray(), rhs), rtol=1e-10)
+
+
 def test_rank_one_routes_agree():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -122,6 +135,20 @@ def test_dense_eigh_pencil():
     np.testing.assert_allclose(values_only.eigenvalues, expected, atol=1e-12)
 
 
+def test_dense_eigh_reads_one_triangle_and_refuses_overflow():
+    # entries near the top of the float range: no (B + B^T) pass to overflow
+    A = np.array([[1e308, -1.0], [-1.0, 1e308]])
+    np.testing.assert_allclose(dense_eigh(A, np.ones(2)).eigenvalues, [1e308, 1e308])
+    # only the upper triangle of the scaled copy is read
+    lopsided = np.array([[2.0, -1.0], [7.0, 2.0]])
+    np.testing.assert_allclose(
+        dense_eigh(lopsided, np.ones(2), vectors=False).eigenvalues, [1.0, 3.0], rtol=1e-15
+    )
+    # a tiny mass under a huge weight scales an entry past the float range
+    with pytest.raises(InvalidParameter):
+        dense_eigh(np.array([[1e300, -1e300], [-1e300, 1e300]]), np.array([1e-300, 1.0]))
+
+
 def test_dense_eigh_dimension_cap(monkeypatch):
     monkeypatch.setattr(numerics, "DENSE_CAP", 5)
     with pytest.raises(DimensionCap):
@@ -138,14 +165,14 @@ def test_inverse_diagonal_matches_dense_inverse():
         np.testing.assert_allclose(got, np.diag(np.linalg.inv(A)), rtol=1e-12)
 
 
-def test_cholesky_refuses_singular_and_non_finite(monkeypatch):
+def test_inverse_diagonal_refuses_singular_and_non_finite(monkeypatch):
     with pytest.raises(SingularOperator):
-        cholesky(np.asfortranarray([[1.0, -1.0], [-1.0, 1.0]]))
+        inverse_diagonal(np.asfortranarray([[1.0, -1.0], [-1.0, 1.0]]))
     with pytest.raises(InvalidParameter):
-        cholesky(np.asfortranarray([[1.0, np.nan], [np.nan, 1.0]]))
+        inverse_diagonal(np.asfortranarray([[1.0, np.nan], [np.nan, 1.0]]))
     monkeypatch.setattr(numerics, "DENSE_CAP", 5)
     with pytest.raises(DimensionCap):
-        cholesky(np.eye(10, order="F"))
+        inverse_diagonal(np.eye(10, order="F"))
 
 
 def _hard_system():

@@ -89,6 +89,41 @@ def test_lanczos_agrees_with_dense():
     np.testing.assert_allclose(sparse, dense, atol=1e-8)
 
 
+@pytest.mark.parametrize(
+    "make, k",
+    [
+        (lambda: R.generate_tree(3, 10), 8),
+        (lambda: R.generate_tree(3, 10), 20),
+        (lambda: R.generate_lattice(2, 20), 8),
+        (lambda: R.generate_lattice(3, 7), 8),
+    ],
+    ids=["tree-depth10-k8", "tree-depth10-k20", "z2-r20-k8", "z3-r7-k8"],
+)
+def test_lanczos_finds_every_eigenvalue_on_symmetric_sections(make, k):
+    # every automorphism fixes a constant start vector, so its Krylov space
+    # misses the eigenvalues whose eigenvectors are not symmetric (on the
+    # tree, 0.3100 and 0.3421 come in pairs and triples)
+    s = make()
+    dense = R.spectrum(s, vectors=False).eigenvalues
+    sparse = R.spectrum(s, k=k, vectors=False)
+    assert sparse.method == "lanczos"
+    np.testing.assert_allclose(sparse.eigenvalues, dense[:k], rtol=0, atol=1e-10 * dense[-1])
+
+
+def test_lanczos_failure_is_no_convergence(monkeypatch):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    from royden import spectral
+    from royden.errors import NoConvergence
+
+    def fails(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(spectral, "eigsh", fails)
+    with pytest.raises(NoConvergence):
+        R.spectrum(R.generate_tree(3, 10), k=8)
+
+
 def test_heat_apply_oracles(p3_both_masked):
     # single interior vertex, lambda = 2: e^{-2t} decay of the middle value
     f = p3_both_masked.fn([0.0, 1.0, 0.0])
