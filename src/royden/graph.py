@@ -198,6 +198,55 @@ class Section:
         return np.bincount(cids, weights=grounding[inter], minlength=len(self.interior_members)) > 0
 
     @cached_property
+    def reflections(self) -> tuple:
+        """Coordinate reflections that are automorphisms, as interior permutations.
+
+        Labels must be integer tuples of one length d (integers when
+        d = 1); any other first label ends the search. For each axis, the
+        permutation sending a vertex to the one whose label negates that
+        coordinate is kept when every label has its mirror and the
+        permutation moves some interior vertex and maps adj, c, m and the
+        mask onto themselves entry for entry. Entry i of a kept array is
+        the interior position of the image of interior vertex i. The
+        reflections commute, and each is its own inverse.
+        """
+        first = self.labels[0] if self.n else None
+        parts = first if isinstance(first, tuple) else (first,)
+        if not parts or not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in parts
+        ):
+            return ()
+        try:
+            coords = np.asarray(self.labels)
+        except (ValueError, OverflowError):  # ragged or mixed labels
+            return ()
+        shape = (self.n, len(parts)) if isinstance(first, tuple) else (self.n,)
+        if coords.dtype.kind != "i" or coords.shape != shape:
+            return ()
+        coords = coords.reshape(self.n, -1)
+        order = np.lexsort(coords.T[::-1])
+        inter = self.interior
+        found = []
+        for a in range(coords.shape[1]):
+            mirrored = coords.copy()
+            mirrored[:, a] = -mirrored[:, a]
+            mirror_order = np.lexsort(mirrored.T[::-1])
+            if not np.array_equal(mirrored[mirror_order], coords[order]):
+                continue
+            perm = np.empty(self.n, dtype=np.intp)
+            perm[mirror_order] = order  # mirrored[v] is the label of vertex perm[v]
+            if np.array_equal(perm[inter], inter):
+                continue
+            if (
+                np.array_equal(self.c[perm], self.c)
+                and np.array_equal(self.m[perm], self.m)
+                and np.array_equal(self.dirichlet[perm], self.dirichlet)
+                and (self.adj[perm][:, perm] != self.adj).nnz == 0
+            ):
+                found.append(np.searchsorted(inter, perm[inter]))
+        return tuple(found)
+
+    @cached_property
     def operators(self) -> dict:
         """Energy operators of this section's components, kept by
         royden.potential so repeated metric queries share one operator

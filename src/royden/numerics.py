@@ -17,13 +17,25 @@ vector against the held operator, so its one factor answers all but the
 first. Dense eigensolves reduce the pencil (A, M) with diagonal M to an
 ordinary symmetric problem through the M^(-1/2) similarity; LAPACK reads
 one triangle of that copy, so it is never symmetrized.
+
+dense_eigh and inverse_diagonal are the only dense kernels, and callers
+hand them one reflection sector at a time. reflection_sectors turns
+commuting involutions (Section.reflections: the coordinate reflections
+a section's labels name, each kept only when it is an exact
+automorphism of the weights, c, m and the mask) into sparse orthonormal
+bases Q_e of signed orbit indicators, one per sign character e; an
+operator the involutions preserve is the orthogonal sum of its blocks
+Q_e^T A Q_e (Fassler & Stiefel, Group Theoretical Methods and Their
+Applications, 1992). Trees, orbit sections and graphs without integer
+coordinate labels have no reflection: their one sector is the identity,
+and the kernels see the same matrices as without sectors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -188,8 +200,10 @@ def cg_solve(
 
     Convergence means ||A x - rhs|| <= rel_tol * ||rhs|| in the Euclidean
     norm (checked on the true residual, not the recurrence). Raises
-    NoConvergence past default_max_iter(n) iterations or once r^T z is 0,
-    and SingularOperator on a zero-curvature breakdown. The iteration runs on
+    NoConvergence past default_max_iter(n) iterations, once r^T z is 0 or
+    once the curvature p^T A p underflows to 0 (it is positive with p
+    scaled by a power of two), and SingularOperator when the curvature
+    is truly <= 0. The iteration runs on
     rhs scaled by a power of two to a peak in [0.5, 1), which is exact,
     so tiny or huge data cannot underflow or overflow in its inner
     products.
@@ -245,6 +259,14 @@ def cg_solve(
         if pAp <= 0.0:
             if r_norm <= target:
                 return CGResult(np.ldexp(x, shift), it - 1, math.ldexp(r_norm, shift))
+            if pAp == 0.0 and _curvature_underflows(A, p):
+                r_norm = math.ldexp(r_norm, shift)
+                raise NoConvergence(
+                    f"breakdown after {it - 1} iterations: the curvature underflowed "
+                    f"(residual {r_norm:g})",
+                    iterations=it - 1,
+                    residual=r_norm,
+                )
             raise SingularOperator(
                 f"curvature {pAp:g} along a search direction after {it - 1} iterations"
             )
@@ -285,6 +307,18 @@ def cg_solve(
     )
 
 
+def _curvature_underflows(A: SymOperator, p: np.ndarray) -> bool:
+    """True when p^T A p is positive once p is scaled by a power of two to
+    a peak in [0.5, 1): a curvature of 0 was then an underflow (tiny p
+    against a huge diagonal), not a null direction of A."""
+    peak = float(np.max(np.abs(p), initial=0.0))
+    if peak == 0.0:
+        return False
+    q = np.ldexp(p, -math.frexp(peak)[1])
+    with np.errstate(over="ignore"):  # an overflow to inf is still positive
+        return float(q @ A.apply(q)) > 0.0
+
+
 def inverse_diagonal(a: np.ndarray) -> np.ndarray:
     """diag(a^(-1)) for the dense positive definite a, worked in a.
 
@@ -305,6 +339,92 @@ def inverse_diagonal(a: np.ndarray) -> np.ndarray:
     if info > 0:
         raise SingularOperator(f"factor has a zero pivot at {info}")
     return inverse.diagonal().copy()
+
+
+class Sectors(NamedTuple):
+    """Orthonormal sector bases side by side: block i is the columns
+    bounds[i]:bounds[i + 1] of basis."""
+
+    basis: sp.csc_matrix
+    bounds: np.ndarray
+
+    def blocks(self, A):
+        """Yield the diagonal blocks Q_i^T A Q_i as dense C-order arrays,
+        from one sparse triple product Q^T A Q. Its entries between two
+        blocks are rounding residue of exact zeros and are dropped."""
+        B = (self.basis.T @ A @ self.basis).tocsr()
+        rows = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
+        for a, b in zip(self.bounds[:-1], self.bounds[1:]):
+            lo, hi = B.indptr[a], B.indptr[b]
+            cols = B.indices[lo:hi]
+            inside = (cols >= a) & (cols < b)
+            block = np.zeros((b - a, b - a))
+            block[rows[lo:hi][inside] - a, cols[inside] - a] = B.data[lo:hi][inside]
+            yield block
+
+
+def reflection_sectors(involutions, n: int) -> Sectors:
+    """Sparse orthonormal bases Q_e of the joint eigenspaces of involutions.
+
+    involutions are commuting permutations p of 0..n-1 with p[p] the
+    identity; one acts on a vector f as f[p]. Each basis column is a
+    signed orbit indicator scaled to unit length, and the columns of one
+    basis lie on disjoint orbits, in the order of their first rows. For
+    a character e (each involution acting as +1 or -1) the basis spans
+    the vectors on which every involution acts by its sign, and an orbit
+    is dropped from it when its stabiliser's character is -1. Together
+    the bases hold n columns, so any symmetric A that every involution
+    maps to itself is the orthogonal sum of the blocks Q_e^T A Q_e. Only
+    non-empty bases are kept; with no involution the one basis is the
+    identity.
+
+    The involutions are taken one at a time. Each maps a basis column q
+    to s q' with q' in the same basis and s = +-1: a fixed column moves
+    to the sector of sign s, a pair (q, q') gives (q + s q') / sqrt 2 and
+    (q - s q') / sqrt 2, one to either sector.
+    """
+    rows = np.arange(n)  # one entry per (column, row), sorted by column then row
+    cols = np.arange(n)
+    sign = np.ones(n)
+    sector = np.zeros(n, dtype=np.intp)  # per column
+    for p in involutions:
+        idx = np.arange(len(sector))
+        head = np.searchsorted(cols, idx)  # each column's first entry
+        keys = sector[cols] * n + rows
+        by_key = np.argsort(keys)
+        want = sector * n + np.asarray(p)[rows[head]]
+        at = by_key[np.minimum(np.searchsorted(keys, want, sorter=by_key), len(keys) - 1)]
+        partner = cols[at]
+        if not (np.array_equal(keys[at], want) and np.array_equal(partner[partner], idx)):
+            raise InvalidParameter("permutations are not commuting involutions")
+        s = sign[head] * sign[at]
+        fixed = partner == idx
+        lead = partner > idx
+        width = fixed + 2 * lead
+        start = np.cumsum(width) - width
+        # a fixed column moves to the sector of its sign s; a pair (q, q')
+        # with lead q becomes q + s q' in the + sector and q - s q' in the -
+        own = np.minimum(cols, partner[cols])
+        at_lead = cols == own
+        plus = sign * np.where(at_lead, 1.0, s[own])
+        split = ~fixed[own]
+        rows = np.concatenate([rows, rows[split]])
+        cols = np.concatenate([start[own], start[own][split] + 1])
+        sign = np.concatenate([plus, np.where(at_lead, plus, -plus)[split]])
+        order = np.lexsort((rows, cols))
+        rows, cols, sign = rows[order], cols[order], sign[order]
+        grown = np.empty(int(width.sum()), dtype=np.intp)
+        grown[start[fixed]] = 2 * sector[fixed] + (s[fixed] < 0)
+        grown[start[lead]] = 2 * sector[lead]
+        grown[start[lead] + 1] = 2 * sector[lead] + 1
+        sector = np.unique(grown, return_inverse=True)[1]
+    ncol = len(sector)
+    first_row = rows[np.searchsorted(cols, np.arange(ncol))]
+    size = np.bincount(cols, minlength=ncol)
+    place = np.empty(ncol, dtype=np.intp)
+    place[np.lexsort((first_row, sector))] = np.arange(ncol)
+    basis = sp.csc_matrix((sign / np.sqrt(size[cols]), (rows, place[cols])), shape=(n, ncol))
+    return Sectors(basis, np.concatenate([[0], np.cumsum(np.bincount(sector))]))
 
 
 def solve_rank_one(A: SymOperator, o: int, rhs: np.ndarray, rel_tol: float = 1e-10) -> CGResult:
@@ -344,11 +464,12 @@ class DenseEigh:
     eigenvectors: np.ndarray | None  # columns, M-orthonormal; None without vectors
 
 
-def dense_eigh(A, M: np.ndarray, vectors: bool = True) -> DenseEigh:
+def dense_eigh(A, M: np.ndarray, vectors: bool = True, overwrite_a: bool = False) -> DenseEigh:
     """Full solution of A v = lambda M v for symmetric A, positive diagonal M.
 
     A is a dense array or a scipy sparse matrix; a sparse A is densified
-    straight into the working copy, so no second n x n array is held. M
+    straight into the working copy, and with overwrite_a a dense float A
+    in C order is the working copy, so no second n x n array is held. M
     is given as the diagonal vector. Eigenvectors come back M-orthonormal
     (V^T diag(M) V = I). With vectors=False only the eigenvalues are
     computed (LAPACK dsyevr without vectors reduces to dsterf, far
@@ -369,7 +490,7 @@ def dense_eigh(A, M: np.ndarray, vectors: bool = True) -> DenseEigh:
     # scale and solve in one working copy; dsyevr reads only the lower
     # triangle of the Fortran-order view B.T, so B is not symmetrized
     s = 1.0 / np.sqrt(M)
-    B = A.toarray() if sp.issparse(A) else A.copy()
+    B = A.toarray() if sp.issparse(A) else A if overwrite_a else A.copy()
     with np.errstate(over="ignore"):  # an overflow is refused just below
         B *= s[:, None]
         B *= s[None, :]

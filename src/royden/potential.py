@@ -36,7 +36,14 @@ from .errors import (
     SameVertex,
 )
 from .graph import ExhaustionGenerator, Section, VertexFn, tree_depth_fits
-from .numerics import DENSE_CAP, SymOperator, inverse_diagonal, solve_rank_one
+from .numerics import (
+    DENSE_CAP,
+    Sectors,
+    SymOperator,
+    inverse_diagonal,
+    reflection_sectors,
+    solve_rank_one,
+)
 
 MONOTONE_SLACK = 1e-10
 
@@ -93,38 +100,52 @@ def interior_capacities(s: Section, rel_tol: float = 1e-10) -> np.ndarray:
     cap(x) = 1 / G(x, x) with G the inverse of its energy matrix (the
     equilibrium potential is G e_x / G(x, x), whose energy is 1 / G(x, x)).
     Up to DENSE_CAP vertices the diagonal of G comes from one dense
-    factorization, exact to rounding. Above it, from one solve G e_x per
-    vertex against the component's operator held by the section (the one
-    gamma and gamma_o use): CG answers the first, the operator's sparse
-    factor the rest; rel_tol applies to those solves only.
+    factorization per reflection sector (s.reflections) and component,
+    exact to rounding; components that a reflection swaps share their
+    blocks. Above it, from one solve G e_x per vertex against the
+    component's operator held by the section (the one gamma and gamma_o
+    use): CG answers the first, the operator's sparse factor the rest;
+    rel_tol applies to those solves only.
     """
     inter = s.interior
+    members = s.interior_members
     caps = np.zeros(len(inter))
-    # the components up to DENSE_CAP laid end to end: each component's
-    # rows are a contiguous run of the one energy matrix, and its entries
-    # fall inside its own diagonal block
-    small = [comp for comp in s.interior_members if len(comp) <= DENSE_CAP]
-    order = np.concatenate(small) if small else inter[:0]
-    A = energy_matrix(s, order).matrix
-    rows = np.repeat(np.arange(len(order)), np.diff(A.indptr))
-    pos = np.searchsorted(inter, order)
-    b = 0
-    for cid, comp in enumerate(s.interior_members):
-        if len(comp) > DENSE_CAP:
-            if s.grounded[cid]:
-                op = _support(s, ("interior", cid)).op
-                unit = np.zeros(len(comp))
-                for i, p in enumerate(np.searchsorted(inter, comp)):
-                    unit[i] = 1.0
-                    caps[p] = 1.0 / op.solve(unit, rel_tol=rel_tol).x[i]
-                    unit[i] = 0.0
-            continue
-        a, b = b, b + len(comp)
-        if s.grounded[cid]:
-            lo, hi = A.indptr[a], A.indptr[b]
-            block = np.zeros((b - a, b - a), order="F")
-            block[rows[lo:hi] - a, A.indices[lo:hi] - a] = A.data[lo:hi]
-            caps[pos[a:b]] = 1.0 / inverse_diagonal(block)
+    # the components up to DENSE_CAP laid end to end; a reflection maps
+    # them onto each other, so it permutes this order too
+    small = [cid for cid, comp in enumerate(members) if len(comp) <= DENSE_CAP]
+    if small:
+        order = np.concatenate([members[cid] for cid in small])
+        pos = np.searchsorted(inter, order)
+        local = np.empty(len(inter), dtype=np.intp)
+        local[pos] = np.arange(len(order))
+        sectors = reflection_sectors([local[r[pos]] for r in s.reflections], len(order))
+        # one block per sector and orbit of components: a column's first row
+        # lies in the first component its orbit meets, and a sector's
+        # columns run in first-row order, so each block is a run of columns
+        Q = sectors.basis
+        row_cid = np.repeat(small, [len(members[cid]) for cid in small])
+        column_cid = row_cid[Q.indices[Q.indptr[:-1]]]
+        sector = np.repeat(np.arange(len(sectors.bounds) - 1), np.diff(sectors.bounds))
+        cuts = np.flatnonzero((np.diff(column_cid) != 0) | (np.diff(sector) != 0)) + 1
+        runs = Sectors(Q, np.concatenate([[0], cuts, [len(order)]]))
+        # diag(G) adds up over the blocks as Q[x, .]^2 diag(C^-1); C is
+        # symmetric, so its transpose is the Fortran-order copy LAPACK
+        # factors in place. G is infinite on an ungrounded component,
+        # whose capacities are 0
+        green = np.concatenate([
+            inverse_diagonal(C.T) if grounded else np.full(len(C), np.inf)
+            for C, grounded in zip(runs.blocks(energy_matrix(s, order).matrix),
+                                   s.grounded[column_cid[runs.bounds[:-1]]])
+        ])
+        caps[pos] = 1.0 / (Q.multiply(Q) @ green)
+    for cid, comp in enumerate(members):
+        if len(comp) > DENSE_CAP and s.grounded[cid]:
+            op = _support(s, ("interior", cid)).op
+            unit = np.zeros(len(comp))
+            for i, p in enumerate(np.searchsorted(inter, comp)):
+                unit[i] = 1.0
+                caps[p] = 1.0 / op.solve(unit, rel_tol=rel_tol).x[i]
+                unit[i] = 0.0
     return caps
 
 
@@ -142,8 +163,8 @@ def sup_norm_constant(s: Section, rel_tol: float = 1e-10) -> SupNormConstant:
     """C = (min cap)^(-1/2) over the interior, from interior_capacities.
 
     Every capacity is 1 / G(x, x), read per grounded interior component
-    off one dense factorization up to DENSE_CAP vertices and off the
-    component's held sparse operator above it.
+    off dense factorizations (one per reflection sector) up to DENSE_CAP
+    vertices and off the component's held sparse operator above it.
     """
     caps = interior_capacities(s, rel_tol=rel_tol)
     if len(caps) == 0:

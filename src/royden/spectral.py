@@ -5,7 +5,11 @@ A (weighted degrees plus killing on the diagonal, minus the weights);
 together with the diagonal mass matrix M = diag(m) it forms the pencil
 A v = lambda M v. Everything else here is spectral calculus on that
 pencil: the heat semigroup exp(-t M^(-1) A), its trace, and two checks
-that tie the spectrum to capacities:
+that tie the spectrum to capacities. The dense route solves the pencil
+per reflection sector (numerics.reflection_sectors over the exact
+coordinate-reflection automorphisms in Section.reflections) and merges
+the sector spectra; trees and sections without integer coordinate
+labels have one sector, the whole interior. The checks:
 
   * a spectral gap lambda0 > 0 with delta = min m > 0 bounds every
     capacity below by delta * lambda0;
@@ -33,7 +37,7 @@ from .errors import (
     NoConvergence,
 )
 from .graph import Section, VertexFn, check_bound
-from .numerics import DENSE_CAP, dense_eigh
+from .numerics import DENSE_CAP, dense_eigh, reflection_sectors
 from .potential import sup_norm_constant
 
 DENSE_SHORTCUT = 512  # below this size the dense path beats Lanczos outright
@@ -60,7 +64,10 @@ def spectrum(s: Section, k: int | None = None, vectors: bool = True) -> Spectral
     """Eigenvalues of the Dirichlet pencil, ascending.
 
     This is the one dispatch between the dense and the Lanczos route.
-    Without k the full dense solve runs. With k, the dense solve runs
+    Without k the full dense solve runs, one dense_eigh per reflection
+    sector of the interior, merged in ascending order; the eigenvectors
+    are Q_e times each block's, M-orthonormal since m is constant on
+    orbits. With k, the dense solve runs
     when the interior has at most DENSE_SHORTCUT vertices or
     k >= interior size - 1, and returns the k smallest pairs; whenever
     it is chosen for an interior above DENSE_CAP, DimensionCap is raised.
@@ -88,11 +95,25 @@ def spectrum(s: Section, k: int | None = None, vectors: bool = True) -> Spectral
                 f"dense spectrum of size {ni} above cap {DENSE_CAP}; "
                 f"pass k < {ni - 1} for a partial solve"
             )
-        sol = dense_eigh(A.matrix, mass, vectors=vectors)
-        w, V = sol.eigenvalues, sol.eigenvectors
-        if k is not None:
-            w = w[:k]
-            V = None if V is None else V[:, :k]
+        # one block per reflection sector; m is constant on orbits, so each
+        # basis column carries the mass of its first row
+        sectors = reflection_sectors(s.reflections, ni)
+        Q, bounds = sectors
+        column_mass = mass[Q.indices[Q.indptr[:-1]]]
+        sols = [
+            dense_eigh(block, column_mass[a:b], vectors=vectors, overwrite_a=True)
+            for block, a, b in zip(sectors.blocks(A.matrix), bounds[:-1], bounds[1:])
+        ]
+        merged = np.concatenate([sol.eigenvalues for sol in sols])
+        order = np.argsort(merged, kind="stable")[:k]
+        w, V = merged[order], None
+        if vectors:
+            V = np.empty((ni, len(order)))
+            dest = np.full(ni, -1)  # column of V per sector eigenvector
+            dest[order] = np.arange(len(order))
+            for sol, a, b in zip(sols, bounds[:-1], bounds[1:]):
+                keep = dest[a:b] >= 0
+                V[:, dest[a:b][keep]] = Q[:, a:b] @ sol.eigenvectors[:, keep]
         return SpectralResult(
             eigenvalues=w,
             eigenvectors=V,
@@ -275,17 +296,20 @@ def ultracontractivity_check(
     const = sup_norm_constant(s, rel_tol=rel_tol)
     prefactor = const.C / math.sqrt(2.0 * math.e * t)
     decay = np.exp(-t * spec.eigenvalues)
+    # the trials as the columns of a draw (the same values as one draw per
+    # trial), heated by two matrix products; at most n trials at a time, so
+    # a draw never outgrows the eigenvectors
+    V = spec.eigenvectors
+    n = len(inter)
     rng = np.random.default_rng(seed)
     max_ratio = 0.0
-    for _ in range(trials):
-        f = rng.standard_normal(len(inter))
-        norm_m = math.sqrt(float(np.dot(mass, f * f)))
-        if norm_m == 0.0:
-            continue
-        coeff = spec.eigenvectors.T @ (mass * f)
-        heated = spec.eigenvectors @ (decay * coeff)
-        ratio = float(np.max(np.abs(heated))) / (prefactor * norm_m)
-        max_ratio = max(max_ratio, ratio)
+    for done in range(0, trials, n):
+        F = rng.standard_normal((min(n, trials - done), n)).T
+        norm_m = np.sqrt(mass @ (F * F))
+        heated = V @ (decay[:, None] * (V.T @ (mass[:, None] * F)))
+        drawn = norm_m > 0.0
+        ratios = np.max(np.abs(heated[:, drawn]), axis=0) / (prefactor * norm_m[drawn])
+        max_ratio = max(max_ratio, float(np.max(ratios, initial=0.0)))
     return UltracontractivityReport(
         t=t,
         C=const.C,

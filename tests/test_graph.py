@@ -258,3 +258,44 @@ def test_clamp_and_sup_norm():
     assert f.sup_norm == 3.0
     g = f.clamp(-1.0, 1.0)
     np.testing.assert_array_equal(g.values, [-1.0, -1.0, 0.5, 1.0, 1.0])
+
+
+def test_reflections_of_lattice_boxes_negate_one_coordinate():
+    for d, r in ((1, 4), (2, 3), (3, 2)):
+        s = R.generate_lattice(d, r)
+        inter = s.interior
+        coords = np.array([s.labels[v] for v in inter]).reshape(len(inter), d)
+        assert len(s.reflections) == d
+        for a, perm in enumerate(s.reflections):
+            mirrored = coords.copy()
+            mirrored[:, a] *= -1
+            np.testing.assert_array_equal(coords[perm], mirrored)
+            np.testing.assert_array_equal(perm[perm], np.arange(len(inter)))
+
+
+def test_reflections_are_kept_only_when_exact():
+    box = R.generate_lattice(2, 3)
+    # a mass that breaks the x-mirror but not the y-mirror
+    m = np.array([2.0 if lab[0] > 0 else 1.0 for lab in box.labels])
+    (kept,) = R.with_measure(box, m).reflections
+    coords = np.array([box.labels[v] for v in box.interior])
+    np.testing.assert_array_equal(coords[kept], coords * [1, -1])
+    # one edge weight changed: both mirrors move that edge
+    coo = box.adj.tocoo()
+    up = coo.row < coo.col
+    edges = [(u, v, 2.0 if {u, v} == {box.index_of((1, 1)), box.index_of((2, 1))} else 1.0)
+             for u, v in zip(coo.row[up].tolist(), coo.col[up].tolist())]
+    bent = R.build_section(box.n, edges, dirichlet=box.mask, labels=box.labels)
+    assert bent.reflections == ()
+    assert replace(box, c=np.where(np.arange(box.n) == box.index_of((1, 2)), 1.0, 0.0)).reflections == ()
+
+
+def test_reflections_refuse_other_labels():
+    assert R.generate_tree(3, 4).reflections == ()
+    assert R.lattice_generator(3).orbits(4).section.reflections == ()
+    path = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]
+    assert R.build_section(5, path, dirichlet=[0, 4]).reflections == ()  # labels 0..4
+    centred = R.build_section(5, path, dirichlet=[0, 4], labels=[-2, -1, 0, 1, 2])
+    assert len(centred.reflections) == 1
+    for labels in ([-2, -1, 0, 1, "x"], [(-2,), -1, 0, 1, 2], [True, -1, 0, 5, 2], [-2, -1, 0, 1, 10**30]):
+        assert R.build_section(5, path, dirichlet=[0, 4], labels=labels).reflections == ()

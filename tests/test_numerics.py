@@ -9,6 +9,7 @@ from royden.numerics import (
     cg_solve,
     dense_eigh,
     inverse_diagonal,
+    reflection_sectors,
     solve_rank_one,
 )
 
@@ -91,6 +92,30 @@ def test_cg_breakdown_hands_over_to_the_factor():
     np.testing.assert_allclose(np.ldexp(res.x, 1015), np.linalg.solve(L.toarray(), rhs), rtol=1e-10)
 
 
+@pytest.mark.parametrize("exponent, seed", [(1021, 1), (1020, 3), (1020, 4)])
+def test_cg_curvature_underflow_hands_over_to_the_factor(exponent, seed):
+    # a 20x20 grid Laplacian scaled near the float range: p^T A p underflows
+    # to 0 with p subnormal, which is no null direction of A
+    T = sp.diags([np.full(19, -1.0), np.full(20, 2.0), np.full(19, -1.0)], [-1, 0, 1])
+    L = (sp.kron(T, sp.identity(20)) + sp.kron(sp.identity(20), T)).tocsr()
+    rhs = np.random.default_rng(seed).standard_normal(400)
+    with pytest.raises(NoConvergence) as err:
+        cg_solve(SymOperator(L * 2.0**exponent), rhs)
+    assert "curvature underflowed" in str(err.value)
+    res = SymOperator(L * 2.0**exponent).solve(rhs)
+    assert res.iterations == err.value.iterations
+    want = np.linalg.solve(L.toarray(), rhs)
+    np.testing.assert_allclose(np.ldexp(res.x, exponent), want, rtol=1e-10, atol=1e-12)
+
+
+def test_cg_zero_curvature_on_a_null_direction_is_singular():
+    # a path Laplacian without grounding: the constant vector is a true null
+    # direction, so a zero curvature stays SingularOperator
+    T = sp.diags([np.full(4, -1.0), np.array([1.0, 2.0, 2.0, 2.0, 1.0]), np.full(4, -1.0)], [-1, 0, 1])
+    with pytest.raises(SingularOperator):
+        cg_solve(SymOperator(T), np.ones(5))
+
+
 def test_rank_one_routes_agree():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -147,6 +172,18 @@ def test_dense_eigh_reads_one_triangle_and_refuses_overflow():
     # a tiny mass under a huge weight scales an entry past the float range
     with pytest.raises(InvalidParameter):
         dense_eigh(np.array([[1e300, -1e300], [-1e300, 1e300]]), np.array([1e-300, 1.0]))
+
+
+def test_dense_eigh_overwrites_only_when_asked():
+    A = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    M = np.array([1.0, 4.0, 2.0])
+    kept = A.copy()
+    want = dense_eigh(A, M)
+    np.testing.assert_array_equal(A, kept)
+    got = dense_eigh(A, M, overwrite_a=True)
+    np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+    np.testing.assert_array_equal(got.eigenvectors, want.eigenvectors)
+    assert not np.array_equal(A, kept)  # the scaled copy was worked in A
 
 
 def test_dense_eigh_dimension_cap(monkeypatch):
@@ -206,3 +243,45 @@ def test_solve_reraises_cg_failure(monkeypatch):
     monkeypatch.setattr(numerics, "DIRECT_CAP", 10)
     with pytest.raises(NoConvergence):
         _hard_system()[0].solve(rhs, rel_tol=1e-10)
+
+
+def test_reflection_sectors_without_involutions_is_the_identity():
+    sectors = reflection_sectors([], 5)
+    np.testing.assert_array_equal(sectors.bounds, [0, 5])
+    np.testing.assert_array_equal(sectors.basis.toarray(), np.eye(5))
+    A = sp.random(5, 5, density=0.6, random_state=1)
+    A = (A + A.T).tocsr()
+    (block,) = sectors.blocks(A)
+    np.testing.assert_array_equal(block, A.toarray())
+
+
+def test_reflection_sectors_split_space_and_block_diagonalise():
+    # the 5 x 3 grid with its two mirrors: 2 orbits of size 1, 4 of size 2, 2 of size 4
+    side = (5, 3)
+    idx = np.arange(15).reshape(side)
+    mirrors = [idx[::-1, :].ravel(), idx[:, ::-1].ravel()]
+    T = [sp.diags([np.ones(k - 1), np.ones(k - 1)], [-1, 1]) for k in side]
+    A = (sp.kron(T[0], sp.identity(3)) + sp.kron(sp.identity(5), T[1])).tocsr()
+    sectors = reflection_sectors(mirrors, 15)
+    Q = sectors.basis.toarray()
+    np.testing.assert_allclose(Q.T @ Q, np.eye(15), atol=1e-15)
+    assert np.diff(sectors.bounds).tolist() == [6, 3, 4, 2]
+    full = Q.T @ A.toarray() @ Q
+    for (a, b), block in zip(zip(sectors.bounds[:-1], sectors.bounds[1:]), sectors.blocks(A)):
+        np.testing.assert_allclose(block, full[a:b, a:b], atol=1e-15)
+        full[a:b, a:b] = 0.0
+        # every mirror acts on the whole sector by one sign
+        for p in mirrors:
+            sign = np.sign(Q[p, a] @ Q[:, a])
+            assert sign in (1.0, -1.0)
+            np.testing.assert_array_equal(Q[p, a:b], sign * Q[:, a:b])
+        # each column a signed orbit indicator of unit length
+        for q in Q[:, a:b].T:
+            on = np.flatnonzero(q)
+            np.testing.assert_allclose(np.abs(q[on]), len(on) ** -0.5, rtol=1e-15)
+    np.testing.assert_allclose(full, 0.0, atol=1e-15)
+
+
+def test_reflection_sectors_refuse_permutations_that_do_not_commute():
+    with pytest.raises(InvalidParameter):
+        reflection_sectors([np.array([1, 0, 2]), np.array([0, 2, 1])], 3)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import royden as R
 from royden.errors import (
@@ -547,3 +548,20 @@ def test_direct_route_above_dense_cap():
     with pytest.raises(NoConvergence):
         R.gamma(wide, (0, 0), masked)
     assert R.gamma(wide, (0, 0), masked, rel_tol=1e-8).value > 0
+
+
+def test_interior_capacities_of_components_a_reflection_swaps():
+    # two weighted paths at labels -4..-1 and 1..4, mirror images with a
+    # killed end each, plus a masked vertex 0 joined to neither: x -> -x
+    # swaps the paths, so each block of the sector route spans both
+    labels = [-4, -3, -2, -1, 0, 1, 2, 3, 4]
+    edges = [(0, 1, 1.0), (1, 2, 3.0), (2, 3, 0.5), (5, 6, 0.5), (6, 7, 3.0), (7, 8, 1.0)]
+    c = {0: 2.0, 8: 2.0, 3: 0.25, 5: 0.25}
+    s = R.build_section(9, edges, c=c, m={1: 2.0, 7: 2.0}, dirichlet=[4], labels=labels)
+    assert len(s.reflections) == 1
+    inter = s.interior
+    A = _dense_laplacian(s)[np.ix_(inter, inter)]
+    want = 1.0 / np.diag(np.linalg.inv(A))
+    np.testing.assert_allclose(R.interior_capacities(s), want, rtol=1e-13, atol=0.0)
+    lam = scipy.linalg.eigh(A, np.diag(s.m[inter]), eigvals_only=True)
+    np.testing.assert_allclose(R.spectrum(s).eigenvalues, lam, rtol=0.0, atol=1e-13 * lam.max())

@@ -466,3 +466,61 @@ def test_lanczos_eigenvalues_only_match_the_vectors_route(s, data):
         got = R.spectrum(s, k=k, vectors=False)
     assert got.method == "lanczos" and got.eigenvectors is None
     np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0.0, atol=1e-12 * radius)
+
+
+@st.composite
+def mirror_boxes(draw):
+    """(section, perturbed) for a box of Z^d, d = 1..3: weights, killing and
+    masses depend only on |coordinates|, so every coordinate reflection is an
+    automorphism; the perturbed copy scales the edge (0, 1, .., 1)-(1, 1, .., 1),
+    which every reflection moves, so none verifies."""
+    d = draw(st.integers(1, 3), label="d")
+    r = draw(st.integers(1, (8, 5, 3)[d - 1]), label="r")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    box = R.generate_lattice(d, r)
+    side = r + 1  # |coordinate| in 0..r, one mixed-radix key per |coordinates|
+    key = np.abs(np.array(box.labels).reshape(box.n, d)) @ side ** np.arange(d)
+    coo = box.adj.tocoo()
+    up = coo.row < coo.col
+    u, v = coo.row[up], coo.col[up]
+    lo, hi = np.minimum(key[u], key[v]), np.maximum(key[u], key[v])
+    weight = 10.0 ** rng.uniform(-1.0, 1.0, (side**d, side**d))[lo, hi]
+    mass = 10.0 ** rng.uniform(-1.0, 1.0, side**d)[key]
+    killing = np.where(rng.random(side**d) < 0.3, 10.0 ** rng.uniform(-1.0, 1.0, side**d), 0.0)[key]
+
+    def build(w):
+        return R.build_section(box.n, zip(u.tolist(), v.tolist(), w.tolist()), c=killing,
+                               m=mass, dirichlet=box.mask, labels=box.labels)
+
+    a = box.index_of((0,) + (1,) * (d - 1) if d > 1 else 0)
+    b = box.index_of((1,) * d if d > 1 else 1)
+    bumped = weight.copy()
+    bumped[(np.minimum(u, v) == min(a, b)) & (np.maximum(u, v) == max(a, b))] *= 1.5
+    return build(weight), build(bumped)
+
+
+@PROPERTY_SETTINGS
+@given(mirror_boxes())
+def test_reflection_sectors_match_dense_oracles(pair):
+    section, perturbed = pair
+    d = len(np.atleast_1d(section.labels[0]))
+    assert len(section.reflections) == (d if len(section.interior) > 1 else 0)
+    assert perturbed.reflections == ()
+    for s in (section, perturbed):
+        inter = s.interior
+        A = _laplacian(s)[np.ix_(inter, inter)]
+        m = s.m[inter]
+        want = scipy.linalg.eigh(A, np.diag(m), eigvals_only=True)
+        radius = np.abs(want).max()
+        got = R.spectrum(s)
+        np.testing.assert_allclose(got.eigenvalues, want, rtol=0.0, atol=1e-10 * radius)
+        np.testing.assert_allclose(R.spectrum(s, vectors=False).eigenvalues, want,
+                                   rtol=0.0, atol=1e-10 * radius)
+        V = got.eigenvectors
+        residual = A @ V - (m[:, None] * V) * got.eigenvalues
+        assert np.abs(residual).max() <= 1e-10 * radius * m.max() / math.sqrt(m.min())
+        np.testing.assert_allclose(V.T @ (m[:, None] * V), np.eye(len(inter)), rtol=0.0, atol=1e-10)
+        k = min(3, len(inter))
+        np.testing.assert_allclose(R.spectrum(s, k=k).eigenvectors, V[:, :k], rtol=0.0, atol=0.0)
+        caps = R.interior_capacities(s)
+        np.testing.assert_allclose(caps, 1.0 / np.diag(np.linalg.inv(A)), rtol=1e-12, atol=0.0)

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 import royden as R
+import royden.spectral as spectral
 from royden.cli import main
+from royden.energy import energy_matrix
+from royden.numerics import dense_eigh
 from royden.spectral import BoundRow
 from royden.errors import EmptyInterior, InvalidParameter, NegativeTime, UngroundedComponent
 
@@ -293,3 +296,38 @@ def test_bounds_report_retains_arrays_not_row_objects():
         tracemalloc.stop()
     assert len(rep.eigenvalue) == 1331
     assert retained < 0.3 * 2**20
+
+
+def test_dense_spectrum_solves_one_block_per_reflection_sector(monkeypatch):
+    sizes = []
+
+    def counted(A, M, **options):
+        sizes.append(A.shape[0])
+        return dense_eigh(A, M, **options)
+
+    monkeypatch.setattr(spectral, "dense_eigh", counted)
+    R.spectrum(R.generate_lattice(3, 3), vectors=False)
+    assert sorted(sizes) == [8, 12, 12, 12, 18, 18, 18, 27]  # 5^3 interior, 8 sectors
+    # no reflection: the one sector is the whole interior, solved as before
+    tree = R.generate_tree(3, 5)
+    sizes.clear()
+    got = R.spectrum(tree)
+    assert sizes == [len(tree.interior)]
+    want = dense_eigh(energy_matrix(tree, tree.interior).matrix, tree.m[tree.interior])
+    np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+    np.testing.assert_array_equal(got.eigenvectors, want.eigenvectors)
+
+
+def test_ultracontractivity_trials_match_one_draw_per_trial():
+    for s, t, trials in ((R.generate_tree(3, 4), 0.5, 50), (R.generate_lattice(2, 3), 0.2, 60)):
+        rep = R.ultracontractivity_check(s, t, trials=trials, seed=3)
+        spec = R.spectrum(s)
+        mass = s.m[spec.interior]
+        rng = np.random.default_rng(3)
+        want = 0.0
+        for _ in range(trials):  # more trials than the 25-vertex interior of Z^2 r=3
+            f = rng.standard_normal(len(mass))
+            heated = spec.eigenvectors @ (np.exp(-t * spec.eigenvalues) * (spec.eigenvectors.T @ (mass * f)))
+            want = max(want, np.abs(heated).max() / (rep.prefactor * math.sqrt(mass @ (f * f))))
+        assert rep.max_ratio == pytest.approx(want, rel=1e-12)
+        assert rep.passed
