@@ -38,6 +38,7 @@ from .errors import (
     UngroundedComponent,
     UnknownVertex,
 )
+from .numerics import Sectors, reflection_sectors
 
 DEFAULT_VERTEX_CAP = 2_000_000
 VERTEX_CAP_ENV = "ROYDEN_VERTEX_CAP"
@@ -245,6 +246,12 @@ class Section:
             ):
                 found.append(np.searchsorted(inter, perm[inter]))
         return tuple(found)
+
+    @cached_property
+    def sectors(self) -> Sectors:
+        """reflection_sectors of the reflections over the interior: the
+        bases the dense spectrum and the dense interior capacities share."""
+        return reflection_sectors(self.reflections, len(self.interior))
 
     @cached_property
     def operators(self) -> dict:

@@ -26,9 +26,11 @@ automorphism of the weights, c, m and the mask) into sparse orthonormal
 bases Q_e of signed orbit indicators, one per sign character e; an
 operator the involutions preserve is the orthogonal sum of its blocks
 Q_e^T A Q_e (Fassler & Stiefel, Group Theoretical Methods and Their
-Applications, 1992). Trees, orbit sections and graphs without integer
-coordinate labels have no reflection: their one sector is the identity,
-and the kernels see the same matrices as without sectors.
+Applications, 1992), which Sectors.blocks yields as sparse matrices;
+Section.sectors keeps a section's interior bases. Trees, orbit sections
+and graphs without integer coordinate labels have no reflection: their
+one sector is the identity, and the kernels see the same matrices as
+without sectors.
 """
 
 from __future__ import annotations
@@ -349,18 +351,22 @@ class Sectors(NamedTuple):
     bounds: np.ndarray
 
     def blocks(self, A):
-        """Yield the diagonal blocks Q_i^T A Q_i as dense C-order arrays,
-        from one sparse triple product Q^T A Q. Its entries between two
-        blocks are rounding residue of exact zeros and are dropped."""
+        """Yield the diagonal blocks Q_i^T A Q_i as CSR matrices, from one
+        sparse triple product Q^T A Q. Its entries between two blocks are
+        rounding residue of exact zeros and are dropped."""
         B = (self.basis.T @ A @ self.basis).tocsr()
+        block = np.repeat(np.arange(len(self.bounds) - 1), np.diff(self.bounds))
         rows = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
+        inside = block[rows] == block[B.indices]
+        data, cols = B.data[inside], B.indices[inside]
+        # indices local to each block, kept in B's index dtype: scipy takes
+        # that without scanning them, which halves the cost of a tiny block
+        cols = (cols - self.bounds[block[cols]]).astype(B.indices.dtype)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[inside], minlength=len(block)))])
         for a, b in zip(self.bounds[:-1], self.bounds[1:]):
-            lo, hi = B.indptr[a], B.indptr[b]
-            cols = B.indices[lo:hi]
-            inside = (cols >= a) & (cols < b)
-            block = np.zeros((b - a, b - a))
-            block[rows[lo:hi][inside] - a, cols[inside] - a] = B.data[lo:hi][inside]
-            yield block
+            lo, hi = indptr[a], indptr[b]
+            local = (indptr[a : b + 1] - lo).astype(B.indices.dtype)
+            yield sp.csr_matrix((data[lo:hi], cols[lo:hi], local), shape=(b - a, b - a))
 
 
 def reflection_sectors(involutions, n: int) -> Sectors:
@@ -375,56 +381,54 @@ def reflection_sectors(involutions, n: int) -> Sectors:
     is dropped from it when its stabiliser's character is -1. Together
     the bases hold n columns, so any symmetric A that every involution
     maps to itself is the orthogonal sum of the blocks Q_e^T A Q_e. Only
-    non-empty bases are kept; with no involution the one basis is the
-    identity.
+    non-empty bases are kept, the first involution's +1 sectors before
+    its -1 sectors, and so on down; with no involution the one basis is
+    the identity.
 
-    The involutions are taken one at a time. Each maps a basis column q
-    to s q' with q' in the same basis and s = +-1: a fixed column moves
-    to the sector of sign s, a pair (q, q') gives (q + s q') / sqrt 2 and
-    (q - s q') / sqrt 2, one to either sector.
+    The 2^k elements g of the group the k involutions generate are
+    enumerated as permutations. An orbit is named by its least vertex x,
+    and its column in sector e is sum_g e(g) 1_{g(x)}: an integer sum
+    that cancels to exactly 0 when the stabiliser's character is -1.
     """
-    rows = np.arange(n)  # one entry per (column, row), sorted by column then row
-    cols = np.arange(n)
-    sign = np.ones(n)
-    sector = np.zeros(n, dtype=np.intp)  # per column
-    for p in involutions:
-        idx = np.arange(len(sector))
-        head = np.searchsorted(cols, idx)  # each column's first entry
-        keys = sector[cols] * n + rows
-        by_key = np.argsort(keys)
-        want = sector * n + np.asarray(p)[rows[head]]
-        at = by_key[np.minimum(np.searchsorted(keys, want, sorter=by_key), len(keys) - 1)]
-        partner = cols[at]
-        if not (np.array_equal(keys[at], want) and np.array_equal(partner[partner], idx)):
+    ident = np.arange(n)
+    gens = [np.asarray(p) for p in involutions]
+    for i, p in enumerate(gens):
+        if not (
+            np.array_equal(p[p], ident) and all(np.array_equal(p[q], q[p]) for q in gens[:i])
+        ):
             raise InvalidParameter("permutations are not commuting involutions")
-        s = sign[head] * sign[at]
-        fixed = partner == idx
-        lead = partner > idx
-        width = fixed + 2 * lead
-        start = np.cumsum(width) - width
-        # a fixed column moves to the sector of its sign s; a pair (q, q')
-        # with lead q becomes q + s q' in the + sector and q - s q' in the -
-        own = np.minimum(cols, partner[cols])
-        at_lead = cols == own
-        plus = sign * np.where(at_lead, 1.0, s[own])
-        split = ~fixed[own]
-        rows = np.concatenate([rows, rows[split]])
-        cols = np.concatenate([start[own], start[own][split] + 1])
-        sign = np.concatenate([plus, np.where(at_lead, plus, -plus)[split]])
-        order = np.lexsort((rows, cols))
-        rows, cols, sign = rows[order], cols[order], sign[order]
-        grown = np.empty(int(width.sum()), dtype=np.intp)
-        grown[start[fixed]] = 2 * sector[fixed] + (s[fixed] < 0)
-        grown[start[lead]] = 2 * sector[lead]
-        grown[start[lead] + 1] = 2 * sector[lead] + 1
-        sector = np.unique(grown, return_inverse=True)[1]
-    ncol = len(sector)
-    first_row = rows[np.searchsorted(cols, np.arange(ncol))]
-    size = np.bincount(cols, minlength=ncol)
-    place = np.empty(ncol, dtype=np.intp)
-    place[np.lexsort((first_row, sector))] = np.arange(ncol)
-    basis = sp.csc_matrix((sign / np.sqrt(size[cols]), (rows, place[cols])), shape=(n, ncol))
-    return Sectors(basis, np.concatenate([[0], np.cumsum(np.bincount(sector))]))
+    k = len(gens)
+    group = ident[None, :]  # row j composes the involutions at the set bits of j
+    for p in gens:
+        group = np.concatenate([group, p[group]])
+    # bits[j, i]: element j holds involution i; character c sends
+    # involution i to -1 at bit k - 1 - i of c, so the first one is coarsest
+    bits = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+    character = 1.0 - 2.0 * ((bits[:, ::-1] @ bits.T) % 2)  # [c, j]
+    least = np.flatnonzero(group.min(axis=0) == ident)
+    shape = (2**k, 2**k, len(least))  # (character, element, orbit)
+    cols = np.arange(2**k)[:, None, None] * len(least) + np.arange(len(least))
+    Q = sp.csc_matrix(
+        (
+            np.broadcast_to(character[:, :, None], shape).ravel(),
+            (
+                np.broadcast_to(group[:, least], shape).ravel(),
+                np.broadcast_to(cols, shape).ravel(),
+            ),
+        ),
+        shape=(n, 2**k * len(least)),
+    )
+    Q.sum_duplicates()
+    Q.eliminate_zeros()
+    size = np.diff(Q.indptr)
+    kept = size > 0
+    basis = sp.csc_matrix(
+        (np.sign(Q.data) / np.sqrt(np.repeat(size, size)), Q.indices,
+         np.concatenate([[0], Q.indptr[1:][kept]])),
+        shape=(n, int(kept.sum())),
+    )
+    count = kept.reshape(2**k, len(least)).sum(axis=1)
+    return Sectors(basis, np.concatenate([[0], np.cumsum(count[count > 0])]))
 
 
 def solve_rank_one(A: SymOperator, o: int, rhs: np.ndarray, rel_tol: float = 1e-10) -> CGResult:
@@ -464,12 +468,11 @@ class DenseEigh:
     eigenvectors: np.ndarray | None  # columns, M-orthonormal; None without vectors
 
 
-def dense_eigh(A, M: np.ndarray, vectors: bool = True, overwrite_a: bool = False) -> DenseEigh:
+def dense_eigh(A, M: np.ndarray, vectors: bool = True) -> DenseEigh:
     """Full solution of A v = lambda M v for symmetric A, positive diagonal M.
 
     A is a dense array or a scipy sparse matrix; a sparse A is densified
-    straight into the working copy, and with overwrite_a a dense float A
-    in C order is the working copy, so no second n x n array is held. M
+    straight into the working copy, so no second n x n array is held. M
     is given as the diagonal vector. Eigenvectors come back M-orthonormal
     (V^T diag(M) V = I). With vectors=False only the eigenvalues are
     computed (LAPACK dsyevr without vectors reduces to dsterf, far
@@ -490,7 +493,7 @@ def dense_eigh(A, M: np.ndarray, vectors: bool = True, overwrite_a: bool = False
     # scale and solve in one working copy; dsyevr reads only the lower
     # triangle of the Fortran-order view B.T, so B is not symmetrized
     s = 1.0 / np.sqrt(M)
-    B = A.toarray() if sp.issparse(A) else A if overwrite_a else A.copy()
+    B = A.toarray() if sp.issparse(A) else A.copy()
     with np.errstate(over="ignore"):  # an overflow is refused just below
         B *= s[:, None]
         B *= s[None, :]

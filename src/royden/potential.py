@@ -36,14 +36,7 @@ from .errors import (
     SameVertex,
 )
 from .graph import ExhaustionGenerator, Section, VertexFn, tree_depth_fits
-from .numerics import (
-    DENSE_CAP,
-    Sectors,
-    SymOperator,
-    inverse_diagonal,
-    reflection_sectors,
-    solve_rank_one,
-)
+from .numerics import DENSE_CAP, Sectors, SymOperator, inverse_diagonal, solve_rank_one
 
 MONOTONE_SLACK = 1e-10
 
@@ -100,7 +93,7 @@ def interior_capacities(s: Section, rel_tol: float = 1e-10) -> np.ndarray:
     cap(x) = 1 / G(x, x) with G the inverse of its energy matrix (the
     equilibrium potential is G e_x / G(x, x), whose energy is 1 / G(x, x)).
     Up to DENSE_CAP vertices the diagonal of G comes from one dense
-    factorization per reflection sector (s.reflections) and component,
+    factorization per reflection sector (s.sectors) and component,
     exact to rounding; components that a reflection swaps share their
     blocks. Above it, from one solve G e_x per vertex against the
     component's operator held by the section (the one gamma and gamma_o
@@ -110,34 +103,30 @@ def interior_capacities(s: Section, rel_tol: float = 1e-10) -> np.ndarray:
     inter = s.interior
     members = s.interior_members
     caps = np.zeros(len(inter))
-    # the components up to DENSE_CAP laid end to end; a reflection maps
-    # them onto each other, so it permutes this order too
-    small = [cid for cid, comp in enumerate(members) if len(comp) <= DENSE_CAP]
-    if small:
-        order = np.concatenate([members[cid] for cid in small])
-        pos = np.searchsorted(inter, order)
-        local = np.empty(len(inter), dtype=np.intp)
-        local[pos] = np.arange(len(order))
-        sectors = reflection_sectors([local[r[pos]] for r in s.reflections], len(order))
-        # one block per sector and orbit of components: a column's first row
-        # lies in the first component its orbit meets, and a sector's
-        # columns run in first-row order, so each block is a run of columns
-        Q = sectors.basis
-        row_cid = np.repeat(small, [len(members[cid]) for cid in small])
-        column_cid = row_cid[Q.indices[Q.indptr[:-1]]]
-        sector = np.repeat(np.arange(len(sectors.bounds) - 1), np.diff(sectors.bounds))
+    small = np.array([len(comp) <= DENSE_CAP for comp in members])
+    if small.any():
+        # one block per sector and orbit of components: each column of the
+        # section's sector bases lies on one orbit of vertices, named here
+        # by the least component id it meets; the columns on small
+        # components, grouped by sector and that id, are the blocks
+        Q, bounds = s.sectors
+        row_cid = s.interior_components[inter]
+        column_cid = np.minimum.reduceat(row_cid[Q.indices], Q.indptr[:-1])
+        sector = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        rows = np.flatnonzero(small[row_cid])
+        pick = np.flatnonzero(small[column_cid])
+        pick = pick[np.lexsort((column_cid[pick], sector[pick]))]
+        Q, column_cid, sector = Q[:, pick][rows], column_cid[pick], sector[pick]
         cuts = np.flatnonzero((np.diff(column_cid) != 0) | (np.diff(sector) != 0)) + 1
-        runs = Sectors(Q, np.concatenate([[0], cuts, [len(order)]]))
-        # diag(G) adds up over the blocks as Q[x, .]^2 diag(C^-1); C is
-        # symmetric, so its transpose is the Fortran-order copy LAPACK
-        # factors in place. G is infinite on an ungrounded component,
-        # whose capacities are 0
+        runs = Sectors(Q, np.concatenate([[0], cuts, [len(pick)]]))
+        # diag(G) adds up over the blocks as Q[x, .]^2 diag(C^-1). G is
+        # infinite on an ungrounded component, whose capacities are 0
         green = np.concatenate([
-            inverse_diagonal(C.T) if grounded else np.full(len(C), np.inf)
-            for C, grounded in zip(runs.blocks(energy_matrix(s, order).matrix),
+            inverse_diagonal(C.toarray(order="F")) if grounded else np.full(C.shape[0], np.inf)
+            for C, grounded in zip(runs.blocks(energy_matrix(s, inter[rows]).matrix),
                                    s.grounded[column_cid[runs.bounds[:-1]]])
         ])
-        caps[pos] = 1.0 / (Q.multiply(Q) @ green)
+        caps[rows] = 1.0 / (Q.multiply(Q) @ green)
     for cid, comp in enumerate(members):
         if len(comp) > DENSE_CAP and s.grounded[cid]:
             op = _support(s, ("interior", cid)).op

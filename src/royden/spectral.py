@@ -6,10 +6,10 @@ together with the diagonal mass matrix M = diag(m) it forms the pencil
 A v = lambda M v. Everything else here is spectral calculus on that
 pencil: the heat semigroup exp(-t M^(-1) A), its trace, and two checks
 that tie the spectrum to capacities. The dense route solves the pencil
-per reflection sector (numerics.reflection_sectors over the exact
-coordinate-reflection automorphisms in Section.reflections) and merges
-the sector spectra; trees and sections without integer coordinate
-labels have one sector, the whole interior. The checks:
+per reflection sector (Section.sectors: numerics.reflection_sectors over
+the exact coordinate-reflection automorphisms in Section.reflections)
+and merges the sector spectra; trees and sections without integer
+coordinate labels have one sector, the whole interior. The checks:
 
   * a spectral gap lambda0 > 0 with delta = min m > 0 bounds every
     capacity below by delta * lambda0;
@@ -37,7 +37,7 @@ from .errors import (
     NoConvergence,
 )
 from .graph import Section, VertexFn, check_bound
-from .numerics import DENSE_CAP, dense_eigh, reflection_sectors
+from .numerics import DENSE_CAP, dense_eigh
 from .potential import sup_norm_constant
 
 DENSE_SHORTCUT = 512  # below this size the dense path beats Lanczos outright
@@ -97,23 +97,28 @@ def spectrum(s: Section, k: int | None = None, vectors: bool = True) -> Spectral
             )
         # one block per reflection sector; m is constant on orbits, so each
         # basis column carries the mass of its first row
-        sectors = reflection_sectors(s.reflections, ni)
-        Q, bounds = sectors
+        Q, bounds = s.sectors
         column_mass = mass[Q.indices[Q.indptr[:-1]]]
         sols = [
-            dense_eigh(block, column_mass[a:b], vectors=vectors, overwrite_a=True)
-            for block, a, b in zip(sectors.blocks(A.matrix), bounds[:-1], bounds[1:])
+            dense_eigh(block, column_mass[a:b], vectors=vectors)
+            for block, a, b in zip(s.sectors.blocks(A.matrix), bounds[:-1], bounds[1:])
         ]
         merged = np.concatenate([sol.eigenvalues for sol in sols])
         order = np.argsort(merged, kind="stable")[:k]
         w, V = merged[order], None
         if vectors:
-            V = np.empty((ni, len(order)))
-            dest = np.full(ni, -1)  # column of V per sector eigenvector
+            # the stable sort keeps a prefix of each sector's ascending
+            # spectrum; those columns go through Q one at a time, and each
+            # sector's vectors are let go once placed
+            V = np.empty((ni, len(order)), order="F")
+            dest = np.empty(len(merged), dtype=np.intp)  # column of V per kept vector
             dest[order] = np.arange(len(order))
-            for sol, a, b in zip(sols, bounds[:-1], bounds[1:]):
-                keep = dest[a:b] >= 0
-                V[:, dest[a:b][keep]] = Q[:, a:b] @ sol.eigenvectors[:, keep]
+            wanted = np.diff(np.searchsorted(np.sort(order), bounds))
+            for e, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+                Qe, Ve = Q[:, a:b], sols[e].eigenvectors
+                sols[e] = None
+                for j in range(wanted[e]):
+                    V[:, dest[a + j]] = Qe @ Ve[:, j]
         return SpectralResult(
             eigenvalues=w,
             eigenvectors=V,

@@ -174,18 +174,6 @@ def test_dense_eigh_reads_one_triangle_and_refuses_overflow():
         dense_eigh(np.array([[1e300, -1e300], [-1e300, 1e300]]), np.array([1e-300, 1.0]))
 
 
-def test_dense_eigh_overwrites_only_when_asked():
-    A = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-    M = np.array([1.0, 4.0, 2.0])
-    kept = A.copy()
-    want = dense_eigh(A, M)
-    np.testing.assert_array_equal(A, kept)
-    got = dense_eigh(A, M, overwrite_a=True)
-    np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
-    np.testing.assert_array_equal(got.eigenvectors, want.eigenvectors)
-    assert not np.array_equal(A, kept)  # the scaled copy was worked in A
-
-
 def test_dense_eigh_dimension_cap(monkeypatch):
     monkeypatch.setattr(numerics, "DENSE_CAP", 5)
     with pytest.raises(DimensionCap):
@@ -252,7 +240,7 @@ def test_reflection_sectors_without_involutions_is_the_identity():
     A = sp.random(5, 5, density=0.6, random_state=1)
     A = (A + A.T).tocsr()
     (block,) = sectors.blocks(A)
-    np.testing.assert_array_equal(block, A.toarray())
+    np.testing.assert_array_equal(block.toarray(), A.toarray())
 
 
 def test_reflection_sectors_split_space_and_block_diagonalise():
@@ -268,7 +256,7 @@ def test_reflection_sectors_split_space_and_block_diagonalise():
     assert np.diff(sectors.bounds).tolist() == [6, 3, 4, 2]
     full = Q.T @ A.toarray() @ Q
     for (a, b), block in zip(zip(sectors.bounds[:-1], sectors.bounds[1:]), sectors.blocks(A)):
-        np.testing.assert_allclose(block, full[a:b, a:b], atol=1e-15)
+        np.testing.assert_allclose(block.toarray(), full[a:b, a:b], atol=1e-15)
         full[a:b, a:b] = 0.0
         # every mirror acts on the whole sector by one sign
         for p in mirrors:

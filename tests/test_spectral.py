@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import royden as R
+import royden.graph as graph
 import royden.spectral as spectral
 from royden.cli import main
 from royden.energy import energy_matrix
-from royden.numerics import dense_eigh
+from royden.numerics import dense_eigh, reflection_sectors
 from royden.spectral import BoundRow
 from royden.errors import EmptyInterior, InvalidParameter, NegativeTime, UngroundedComponent
 
@@ -316,6 +317,49 @@ def test_dense_spectrum_solves_one_block_per_reflection_sector(monkeypatch):
     want = dense_eigh(energy_matrix(tree, tree.interior).matrix, tree.m[tree.interior])
     np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
     np.testing.assert_array_equal(got.eigenvectors, want.eigenvectors)
+
+
+def test_sector_bases_are_built_once_per_section(monkeypatch):
+    built = []
+
+    def counted(involutions, n):
+        built.append(n)
+        return reflection_sectors(involutions, n)
+
+    monkeypatch.setattr(graph, "reflection_sectors", counted)
+    s = R.generate_lattice(2, 4)
+    R.eigenvalue_bounds_check(s)
+    R.spectrum(s, k=5)
+    assert built == [len(s.interior)]
+
+
+def test_dense_spectrum_keeps_the_k_lowest_pairs_across_sectors():
+    s = R.generate_lattice(2, 4)  # 49 interior vertices, 4 sectors
+    A = energy_matrix(s, s.interior).matrix.toarray()
+    mass = s.m[s.interior]
+    full = R.spectrum(s)
+    for k in (1, 6, 30):
+        got = R.spectrum(s, k=k)
+        np.testing.assert_array_equal(got.eigenvalues, full.eigenvalues[:k])
+        V = got.eigenvectors
+        assert V.shape == (49, k)
+        np.testing.assert_allclose(A @ V, (mass[:, None] * V) * got.eigenvalues, atol=1e-12)
+        np.testing.assert_allclose(V.T @ (mass[:, None] * V), np.eye(k), atol=1e-12)
+
+
+def test_dense_spectrum_with_vectors_holds_two_square_arrays_at_peak():
+    # the working copy and LAPACK's eigenvectors on one sector; the 8
+    # sectors of Z^3 r=5 hold less
+    for s, bound in ((R.generate_tree(3, 9), 2.2), (R.generate_lattice(3, 5), 1.3)):
+        R.spectrum(s)  # fill the section's own caches first
+        n = len(s.interior)
+        tracemalloc.start()
+        try:
+            R.spectrum(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 8 * n * n
 
 
 def test_ultracontractivity_trials_match_one_draw_per_trial():
