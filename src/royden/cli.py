@@ -50,7 +50,7 @@ import sys
 import numpy as np
 
 from . import harmonic, potential, spectral, walker
-from .errors import NegativeTime, RoydenError, SizeOverflow
+from .errors import RoydenError, SizeOverflow
 from .graph import (
     ExhaustionGenerator,
     Section,
@@ -284,11 +284,6 @@ def _profile_payload(profile) -> dict:
     }
 
 
-def _profile_csv(profile):
-    header = ["level", "cap", "plateau_residual", "decay_residual"]
-    return profile.residual_rows(), header
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -342,8 +337,8 @@ def cmd_cap_profile(args):
         levels,
         rel_tol=args.tol_solver,
     )
-    rows, header = _profile_csv(prof)
-    emit(args, {"command": "cap-profile", **_profile_payload(prof)}, rows, header)
+    emit(args, {"command": "cap-profile", **_profile_payload(prof)}, prof.residual_rows(),
+         ["level", "cap", "plateau_residual", "decay_residual"])
 
 
 def cmd_classify(args):
@@ -600,14 +595,7 @@ def cmd_trace(args):
         times = [finite_float(tok) for tok in args.times.split(",")]
     except argparse.ArgumentTypeError:
         raise UsageError(f"bad time grid {args.times!r}: each time must be a finite number")
-    points = []
-    for t in times:
-        if t < 0:
-            raise NegativeTime(f"t must be >= 0, got {t}")
-        if not points:
-            # one eigensolve serves the whole grid
-            w = spectral.spectrum(s, vectors=False).eigenvalues
-        points.append({"t": t, "trace": float(np.sum(np.exp(-t * w)))})
+    points = [{"t": t, "trace": v} for t, v in zip(times, spectral.heat_trace(s, times))]
     rows = [(p["t"], p["trace"]) for p in points]
     emit(args, {"command": "trace", "points": points}, rows, ["t", "trace"])
 

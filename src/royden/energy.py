@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import UnknownVertex
 from .graph import Section, VertexFn, check_bound
 from .numerics import SymOperator
 
@@ -62,8 +61,6 @@ def o_norm(s: Section, f: VertexFn, o) -> float:
     """(energy(f) + f(o)^2)^(1/2), the norm anchored at vertex o."""
     check_bound(s, f)
     v = s.index_of(o)
-    if not 0 <= v < s.n:
-        raise UnknownVertex(f"no vertex {o!r}")
     e = energy(s, f).value
     return float(np.sqrt(e + f.values[v] ** 2))
 

@@ -249,9 +249,19 @@ class Section:
 
     @cached_property
     def sectors(self) -> Sectors:
-        """reflection_sectors of the reflections over the interior: the
-        bases the dense spectrum and the dense interior capacities share."""
-        return reflection_sectors(self.reflections, len(self.interior))
+        """The block layout of every dense solve: the reflection_sectors
+        columns over the interior, grouped into one block per sector and
+        orbit of interior components (the orbit named by the least
+        component id its columns meet; each column lies on one orbit)."""
+        Q, bounds = reflection_sectors(self.reflections, len(self.interior))
+        row_cid = self.interior_components[self.interior]
+        sector = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        block = sector * len(self.interior_members) + np.minimum.reduceat(
+            row_cid[Q.indices], Q.indptr[:-1]
+        )
+        order = np.argsort(block, kind="stable")
+        starts = np.flatnonzero(np.diff(block[order], prepend=-1))
+        return Sectors(Q[:, order], np.append(starts, len(order)))
 
     @cached_property
     def operators(self) -> dict:
@@ -544,14 +554,18 @@ class ExhaustionGenerator:
         and a function constant on orbits has the same energy and mass
         on both sections; so the origin's capacity and the bottom of the
         Dirichlet spectrum are those of the full level. A family without
-        a quotient builder returns the full section with unit sizes.
+        a quotient builder, or a level whose killing summed over an orbit
+        passes the float range, returns the full section with unit sizes.
         """
-        if self._build_orbits is None:
-            sec = self.section(level)
-            return Orbits(sec, np.ones(sec.n))
-        if level < 1:
-            raise InvalidParameter(f"exhaustion level must be >= 1, got {level}")
-        return self._build_orbits(level)
+        if self._build_orbits is not None:
+            if level < 1:
+                raise InvalidParameter(f"exhaustion level must be >= 1, got {level}")
+            with np.errstate(over="ignore"):  # an orbit sum past the float range is caught below
+                orb = self._build_orbits(level)
+            if np.isfinite(orb.section.c).all():
+                return orb
+        sec = self.section(level)
+        return Orbits(sec, np.ones(sec.n))
 
     def orbit_label(self, label):
         """Label of the orbit-section vertex whose orbit holds a full-section label."""

@@ -191,7 +191,8 @@ def harmonic_boundary_empty(
     c_sums = {}
 
     def drop_c(level: int, sec: Section) -> Section:
-        c_sums[level] = float(np.sum(sec.c))
+        with np.errstate(over="ignore"):  # a sum past the float range is inf
+            c_sums[level] = float(np.sum(sec.c))
         return replace(sec, c=np.zeros(sec.n))
 
     zero_c = classify_transience(

@@ -19,18 +19,17 @@ ordinary symmetric problem through the M^(-1/2) similarity; LAPACK reads
 one triangle of that copy, so it is never symmetrized.
 
 dense_eigh and inverse_diagonal are the only dense kernels, and callers
-hand them one reflection sector at a time. reflection_sectors turns
-commuting involutions (Section.reflections: the coordinate reflections
-a section's labels name, each kept only when it is an exact
-automorphism of the weights, c, m and the mask) into sparse orthonormal
-bases Q_e of signed orbit indicators, one per sign character e; an
-operator the involutions preserve is the orthogonal sum of its blocks
-Q_e^T A Q_e (Fassler & Stiefel, Group Theoretical Methods and Their
-Applications, 1992), which Sectors.blocks yields as sparse matrices;
-Section.sectors keeps a section's interior bases. Trees, orbit sections
-and graphs without integer coordinate labels have no reflection: their
-one sector is the identity, and the kernels see the same matrices as
-without sectors.
+hand them one block at a time. reflection_sectors turns commuting
+involutions (Section.reflections: the coordinate reflections a
+section's labels name, each kept only when it is an exact automorphism
+of the weights, c, m and the mask) into sparse orthonormal bases Q_e of
+signed orbit indicators, one per sign character e; an operator the
+involutions preserve is the orthogonal sum of its blocks Q_e^T A Q_e
+(Fassler & Stiefel, Group Theoretical Methods and Their Applications,
+1992), which Sectors.blocks yields as sparse matrices. Section.sectors
+splits the sectors by orbit of interior components. Trees, orbit
+sections and graphs without integer coordinate labels have no
+reflection: their one sector is the identity.
 """
 
 from __future__ import annotations

@@ -93,39 +93,33 @@ def interior_capacities(s: Section, rel_tol: float = 1e-10) -> np.ndarray:
     cap(x) = 1 / G(x, x) with G the inverse of its energy matrix (the
     equilibrium potential is G e_x / G(x, x), whose energy is 1 / G(x, x)).
     Up to DENSE_CAP vertices the diagonal of G comes from one dense
-    factorization per reflection sector (s.sectors) and component,
-    exact to rounding; components that a reflection swaps share their
-    blocks. Above it, from one solve G e_x per vertex against the
-    component's operator held by the section (the one gamma and gamma_o
-    use): CG answers the first, the operator's sparse factor the rest;
-    rel_tol applies to those solves only.
+    factorization per block of s.sectors (one reflection sector of one
+    orbit of interior components), exact to rounding. Above it, from one
+    solve G e_x per vertex against the component's operator held by the
+    section (the one gamma and gamma_o use): CG answers the first, the
+    operator's sparse factor the rest; rel_tol applies to those solves
+    only.
     """
     inter = s.interior
     members = s.interior_members
     caps = np.zeros(len(inter))
     small = np.array([len(comp) <= DENSE_CAP for comp in members])
     if small.any():
-        # one block per sector and orbit of components: each column of the
-        # section's sector bases lies on one orbit of vertices, named here
-        # by the least component id it meets; the columns on small
-        # components, grouped by sector and that id, are the blocks
+        # the blocks of s.sectors, from the energy matrix of the rows on
+        # small components; the components of an orbit share size and
+        # grounding, read off the component of each block's first row
         Q, bounds = s.sectors
         row_cid = s.interior_components[inter]
-        column_cid = np.minimum.reduceat(row_cid[Q.indices], Q.indptr[:-1])
-        sector = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        block_cid = row_cid[Q.indices[Q.indptr[bounds[:-1]]]]
         rows = np.flatnonzero(small[row_cid])
-        pick = np.flatnonzero(small[column_cid])
-        pick = pick[np.lexsort((column_cid[pick], sector[pick]))]
-        Q, column_cid, sector = Q[:, pick][rows], column_cid[pick], sector[pick]
-        cuts = np.flatnonzero((np.diff(column_cid) != 0) | (np.diff(sector) != 0)) + 1
-        runs = Sectors(Q, np.concatenate([[0], cuts, [len(pick)]]))
+        Q = Q[rows]
         # diag(G) adds up over the blocks as Q[x, .]^2 diag(C^-1). G is
         # infinite on an ungrounded component, whose capacities are 0
-        green = np.concatenate([
-            inverse_diagonal(C.toarray(order="F")) if grounded else np.full(C.shape[0], np.inf)
-            for C, grounded in zip(runs.blocks(energy_matrix(s, inter[rows]).matrix),
-                                   s.grounded[column_cid[runs.bounds[:-1]]])
-        ])
+        green = np.full(Q.shape[1], np.inf)
+        blocks = Sectors(Q, bounds).blocks(energy_matrix(s, inter[rows]).matrix)
+        for C, a, b, cid in zip(blocks, bounds[:-1], bounds[1:], block_cid):
+            if small[cid] and s.grounded[cid]:
+                green[a:b] = inverse_diagonal(C.toarray(order="F"))
         caps[rows] = 1.0 / (Q.multiply(Q) @ green)
     for cid, comp in enumerate(members):
         if len(comp) > DENSE_CAP and s.grounded[cid]:
@@ -149,12 +143,7 @@ class SupNormConstant:
 
 
 def sup_norm_constant(s: Section, rel_tol: float = 1e-10) -> SupNormConstant:
-    """C = (min cap)^(-1/2) over the interior, from interior_capacities.
-
-    Every capacity is 1 / G(x, x), read per grounded interior component
-    off dense factorizations (one per reflection sector) up to DENSE_CAP
-    vertices and off the component's held sparse operator above it.
-    """
+    """C = (min cap)^(-1/2) over the interior, from interior_capacities."""
     caps = interior_capacities(s, rel_tol=rel_tol)
     if len(caps) == 0:
         raise InvalidParameter("section has no interior vertices")
@@ -621,17 +610,14 @@ def uniform_transience_report(
         inf_cap = ex.limit if ex.model == "plateau" else cls.profile.values[-1]
         verdict, evidence = "certified-UT", "transitivity"
     else:
-        from .spectral import spectrum  # spectral imports this module
-
-        def bottom(sec: Section) -> float:  # lambda0 alone, no eigenvector
-            return float(spectrum(sec, k=1, vectors=False).eigenvalues[0])
+        from .spectral import pencil_bottom  # spectral imports this module
 
         glv = _check_levels(gap_levels if gap_levels is not None else default_gap_levels(gen))
         # the Dirichlet ground state of a connected interior is simple and
         # positive, so constant on orbits: the orbit pencil has the same bottom
-        lams = [bottom(gen.orbits(lv).section) for lv in glv[:-1]]
+        lams = [pencil_bottom(gen.orbits(lv).section) for lv in glv[:-1]]
         deepest, size = gen.orbits(glv[-1])
-        lams.append(bottom(deepest))
+        lams.append(pencil_bottom(deepest))
         inter = deepest.interior
         delta = float(np.min(deepest.m[inter] / size[inter]))  # per vertex, not per orbit
         stabilized = (

@@ -4,12 +4,11 @@ The quadratic form restricted to interior-supported functions has matrix
 A (weighted degrees plus killing on the diagonal, minus the weights);
 together with the diagonal mass matrix M = diag(m) it forms the pencil
 A v = lambda M v. Everything else here is spectral calculus on that
-pencil: the heat semigroup exp(-t M^(-1) A), its trace, and two checks
-that tie the spectrum to capacities. The dense route solves the pencil
-per reflection sector (Section.sectors: numerics.reflection_sectors over
-the exact coordinate-reflection automorphisms in Section.reflections)
-and merges the sector spectra; trees and sections without integer
-coordinate labels have one sector, the whole interior. The checks:
+pencil: its bottom, the heat semigroup exp(-t M^(-1) A), its trace, and
+two checks that tie the spectrum to capacities. The dense route solves
+the pencil per block of Section.sectors (one reflection sector of one
+orbit of interior components) and merges the block spectra; trees and
+sections without integer coordinate labels have one sector. The checks:
 
   * a spectral gap lambda0 > 0 with delta = min m > 0 bounds every
     capacity below by delta * lambda0;
@@ -64,13 +63,14 @@ def spectrum(s: Section, k: int | None = None, vectors: bool = True) -> Spectral
     """Eigenvalues of the Dirichlet pencil, ascending.
 
     This is the one dispatch between the dense and the Lanczos route.
-    Without k the full dense solve runs, one dense_eigh per reflection
-    sector of the interior, merged in ascending order; the eigenvectors
-    are Q_e times each block's, M-orthonormal since m is constant on
-    orbits. With k, the dense solve runs
-    when the interior has at most DENSE_SHORTCUT vertices or
-    k >= interior size - 1, and returns the k smallest pairs; whenever
-    it is chosen for an interior above DENSE_CAP, DimensionCap is raised.
+    Without k the full dense solve runs, one dense_eigh per block of
+    s.sectors (one reflection sector of one orbit of interior
+    components), merged in ascending order; the eigenvectors are Q times
+    each block's, M-orthonormal since m is constant on orbits. With k,
+    the dense solve runs when the interior has at most DENSE_SHORTCUT
+    vertices or k >= interior size - 1, and returns the k smallest pairs;
+    whenever it is chosen for an interior above DENSE_CAP, DimensionCap
+    is raised.
     Otherwise a shift-invert Lanczos run at sigma = 0 from a seeded random
     start finds them (an ARPACK failure raises NoConvergence), which
     needs every interior component grounded (else UngroundedComponent).
@@ -95,8 +95,8 @@ def spectrum(s: Section, k: int | None = None, vectors: bool = True) -> Spectral
                 f"dense spectrum of size {ni} above cap {DENSE_CAP}; "
                 f"pass k < {ni - 1} for a partial solve"
             )
-        # one block per reflection sector; m is constant on orbits, so each
-        # basis column carries the mass of its first row
+        # one block per sector and orbit of components; m is constant on
+        # orbits, so each basis column carries the mass of its first row
         Q, bounds = s.sectors
         column_mass = mass[Q.indices[Q.indptr[:-1]]]
         sols = [
@@ -107,9 +107,9 @@ def spectrum(s: Section, k: int | None = None, vectors: bool = True) -> Spectral
         order = np.argsort(merged, kind="stable")[:k]
         w, V = merged[order], None
         if vectors:
-            # the stable sort keeps a prefix of each sector's ascending
+            # the stable sort keeps a prefix of each block's ascending
             # spectrum; those columns go through Q one at a time, and each
-            # sector's vectors are let go once placed
+            # block's vectors are let go once placed
             V = np.empty((ni, len(order)), order="F")
             dest = np.empty(len(merged), dtype=np.intp)  # column of V per kept vector
             dest[order] = np.arange(len(order))
@@ -147,6 +147,14 @@ def spectrum(s: Section, k: int | None = None, vectors: bool = True) -> Spectral
         measure_total=total,
         method="lanczos",
     )
+
+
+def pencil_bottom(s: Section) -> float:
+    """lambda0: exactly 0.0 when some interior component is ungrounded,
+    else the smallest eigenvalue spectrum(s, k=1) finds, without vectors."""
+    if not s.grounded.all():
+        return 0.0
+    return float(spectrum(s, k=1, vectors=False).eigenvalues[0])
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +270,16 @@ def heat_apply(s: Section, t: float, f: VertexFn) -> VertexFn:
     return VertexFn(s, out)
 
 
-def heat_trace(s: Section, t: float) -> float:
-    """Sum of exp(-t lambda_i) over the Dirichlet spectrum."""
-    if t < 0:
-        raise NegativeTime(f"t must be >= 0, got {t}")
-    spec = spectrum(s, vectors=False)
-    return float(np.sum(np.exp(-t * spec.eigenvalues)))
+def heat_trace(s: Section, t):
+    """Sum of exp(-t lambda_i) over the Dirichlet spectrum, or the list of
+    sums over a sequence of times from one eigensolve; a negative time
+    raises NegativeTime, naming the first, before any eigensolve."""
+    times = np.ravel(t)
+    if (times < 0).any():
+        raise NegativeTime(f"t must be >= 0, got {times[times < 0][0]}")
+    w = spectrum(s, vectors=False).eigenvalues
+    traces = [float(np.sum(np.exp(-u * w))) for u in times]
+    return traces if np.ndim(t) else traces[0]
 
 
 @dataclass(frozen=True)
@@ -354,7 +366,7 @@ def spectral_gap_criterion(s: Section, trials: int = 32, seed: int = 0) -> Spect
     """
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
-    lam0 = float(spectrum(s, k=1, vectors=False).eigenvalues[0]) if s.grounded.all() else 0.0
+    lam0 = pencil_bottom(s)
     inter = s.interior
     delta = float(np.min(s.m[inter]))
     scale = float(np.max(s.weighted_degree + s.c, initial=1.0))

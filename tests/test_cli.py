@@ -242,6 +242,22 @@ def test_classify_with_huge_capacities_keeps_stderr_empty(capsys):
     assert payload["profile"]["limit"] == pytest.approx(1e308)
 
 
+@pytest.mark.parametrize("spec", ["lattice:d=2,c=1e308", "tree:k=3,c=1e306"])
+def test_orbit_killing_past_the_float_range_keeps_stderr_empty(capsys, spec):
+    # c summed over an orbit overflows, so the levels are solved in full
+    code, out = run_clean(capsys, "classify", "--generator", spec)
+    assert code == 0, out
+    assert json.loads(out)["verdict"] == "transient"
+    code, out = run_clean(capsys, "ut-report", "--generator", spec)
+    payload = json.loads(out)
+    if code != 0:  # a failed solve must end as a typed error
+        jsonschema.validate(payload, schema_for("error"))
+        assert issubclass(getattr(R.errors, payload["error"]), R.RoydenError)
+    code, out = run_clean(capsys, "hbempty", "--generator", spec)
+    assert code == 0, out
+    assert json.loads(out)["c_partial_sums"][-1] is None
+
+
 def test_hbempty_and_liouville(capsys):
     payload = run_json(capsys, "hbempty", "--generator", "lattice:d=2,c0=1")
     assert payload["status"] == "empty"

@@ -565,3 +565,24 @@ def test_interior_capacities_of_components_a_reflection_swaps():
     np.testing.assert_allclose(R.interior_capacities(s), want, rtol=1e-13, atol=0.0)
     lam = scipy.linalg.eigh(A, np.diag(s.m[inter]), eigvals_only=True)
     np.testing.assert_allclose(R.spectrum(s).eigenvalues, lam, rtol=0.0, atol=1e-13 * lam.max())
+
+
+def test_ut_report_reads_an_ungrounded_gap_level_as_lambda0_zero():
+    # Z^2 boxes plus one isolated vertex, neither masked nor killed: the
+    # bottom of every gap level is exactly 0, whether its interior is
+    # solved dense (122 vertices at r=6) or past the Lanczos shortcut
+    # (530 at r=12)
+    def build(level):
+        box = R.generate_lattice(2, level)
+        edges = [(u, v, 1.0) for u, v in zip(*np.nonzero(np.triu(box.adj.toarray())))]
+        return R.build_section(box.n + 1, edges, dirichlet=box.mask,
+                               labels=box.labels + ("isolated",))
+
+    gen = R.custom_generator(build, (0, 0))
+    reports = [
+        R.uniform_transience_report(gen, profile_levels=(4, 5, 6), gap_levels=levels)
+        for levels in ((4, 5, 6), (10, 11, 12))
+    ]
+    for rep in reports:
+        assert rep.details["gap_lambdas"] == [0.0, 0.0, 0.0]
+    assert len({(rep.verdict, rep.evidence) for rep in reports}) == 1

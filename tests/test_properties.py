@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import royden as R
 from royden import potential, spectral, walker
+from royden.numerics import dense_eigh
 from royden.errors import UngroundedComponent
 
 WEIGHT = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
@@ -524,3 +525,120 @@ def test_reflection_sectors_match_dense_oracles(pair):
         np.testing.assert_allclose(R.spectrum(s, k=k).eigenvectors, V[:, :k], rtol=0.0, atol=0.0)
         caps = R.interior_capacities(s)
         np.testing.assert_allclose(caps, 1.0 / np.diag(np.linalg.inv(A)), rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def boxes_with_components(draw):
+    """A box of Z^2 whose weights, killing and masses depend only on
+    |coordinates| (as in mirror_boxes), plus components labelled outside it:
+    a pair of killed paths at x = +-(r + 2) that the first reflection swaps,
+    an ungrounded pair at (0, +-(r + 3)) that the second one swaps, killed
+    singletons at (+-a, +-a), and, when drawn, a killed path at y = 0,
+    x = r + 4 .. r + 6 that has no mirror image under the first reflection.
+    Returns the section and the number of reflections it keeps."""
+    r = draw(st.integers(1, 3), label="r")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def drawn(*shape):  # log-uniform over 10^-1..10^1
+        return 10.0 ** rng.uniform(-1.0, 1.0, shape)
+
+    box = R.generate_lattice(2, r)
+    side = r + 1
+    key = np.abs(np.array(box.labels)) @ np.array([side, 1])
+    coo = box.adj.tocoo()
+    up = coo.row < coo.col
+    u, v = coo.row[up], coo.col[up]
+    weight = drawn(side**2, side**2)[np.minimum(key[u], key[v]), np.maximum(key[u], key[v])]
+    edges = list(zip(u.tolist(), v.tolist(), weight.tolist()))
+    labels = list(box.labels)
+    mass = drawn(side**2)[key].tolist()
+    kill = np.where(rng.random(side**2) < 0.3, drawn(side**2), 0.0)[key].tolist()
+
+    def add(label, c, m):
+        labels.append(label)
+        kill.append(c)
+        mass.append(m)
+        return len(labels) - 1
+
+    h = draw(st.integers(0, 2), label="path half-length")
+    pw, pc, pm = drawn(h + 1), drawn(h + 1), drawn(h + 1)  # by |y|
+    for x in (r + 2, -r - 2):
+        path = [add((x, y), pc[abs(y)], pm[abs(y)]) for y in range(-h, h + 1)]
+        edges += [(a, b, pw[max(abs(y), abs(y + 1))])
+                  for y, a, b in zip(range(-h, h), path, path[1:])]
+    pair_mass, pair_weight = drawn(2)
+    edges.append((add((0, r + 3), 0.0, pair_mass), add((0, -r - 3), 0.0, pair_mass), pair_weight))
+    for a in range(r + 4, r + 4 + draw(st.integers(1, 2), label="singleton rings")):
+        c, m = drawn(2)
+        for label in ((a, a), (a, -a), (-a, a), (-a, -a)):
+            add(label, c, m)
+    asymmetric = draw(st.booleans(), label="asymmetric path")
+    if asymmetric:
+        killing = [drawn(1)[0], 0.0, 0.0]
+        path = [add((x, 0), c, m) for x, c, m in zip(range(r + 4, r + 7), killing, drawn(3))]
+        edges += [(a, b, w) for a, b, w in zip(path, path[1:], drawn(2))]
+    s = R.build_section(len(labels), edges, c=np.array(kill), m=np.array(mass),
+                        dirichlet=box.mask, labels=labels)
+    return s, 1 if asymmetric else 2
+
+
+def _block_sizes(s):
+    """Sizes of the (sign character, orbit of interior components) blocks by
+    the character formula: the part of sign character e on an orbit O of
+    components has dimension |G|^-1 sum_g e(g) #{x in O : g(x) = x}, over
+    the group G that s.reflections generate."""
+    inter = s.interior.tolist()
+    group = [np.arange(len(inter))]
+    for p in s.reflections:
+        group += [p[g] for g in group]  # element j composes the reflections at the set bits of j
+    components = _reference_components(s)
+    component = np.empty(len(inter), dtype=int)
+    for cid, (members, _) in enumerate(components):
+        component[np.searchsorted(inter, members)] = cid
+    orbit = np.arange(len(components))  # the least component id of each orbit
+    for g in group:
+        np.minimum.at(orbit, component, component[g])
+    orbit = orbit[component]
+    sizes = []
+    for e in range(len(group)):
+        sign = np.array([(-1) ** bin(e & j).count("1") for j in range(len(group))])
+        for o in np.unique(orbit):
+            fixed = [np.count_nonzero((g == np.arange(len(inter))) & (orbit == o)) for g in group]
+            dim = int(sign @ fixed) // len(group)
+            if dim:
+                sizes.append(dim)
+    return sorted(sizes)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(boxes_with_components())
+def test_blocks_of_sectors_and_component_orbits_match_dense_oracles(drawn):
+    s, reflections = drawn
+    assert len(s.reflections) == reflections
+    inter = s.interior
+    A = _laplacian(s)[np.ix_(inter, inter)]
+    m = s.m[inter]
+    want = scipy.linalg.eigh(A, np.diag(m), eigvals_only=True)
+    radius = np.abs(want).max()
+    sizes = []
+
+    def counted(block, mass, **options):
+        sizes.append(block.shape[0])
+        return dense_eigh(block, mass, **options)
+
+    with mock.patch.object(spectral, "dense_eigh", counted):
+        got = R.spectrum(s)
+    assert sorted(sizes) == _block_sizes(s)
+    np.testing.assert_allclose(got.eigenvalues, want, rtol=0.0, atol=1e-12 * radius)
+    V = got.eigenvectors
+    residual = A @ V - (m[:, None] * V) * got.eigenvalues
+    assert np.abs(residual).max() <= 1e-12 * radius * m.max() / math.sqrt(m.min())
+    np.testing.assert_allclose(V.T @ (m[:, None] * V), np.eye(len(inter)), rtol=0.0, atol=1e-12)
+    caps = R.interior_capacities(s)
+    for members, grounded in _reference_components(s):
+        rows = np.searchsorted(inter, members)
+        if grounded:
+            oracle = 1.0 / np.diag(np.linalg.inv(A[np.ix_(rows, rows)]))
+            np.testing.assert_allclose(caps[rows], oracle, rtol=1e-12, atol=0.0)
+        else:
+            assert (caps[rows] == 0.0).all()

@@ -375,3 +375,23 @@ def test_ultracontractivity_trials_match_one_draw_per_trial():
             want = max(want, np.abs(heated).max() / (rep.prefactor * math.sqrt(mass @ (f * f))))
         assert rep.max_ratio == pytest.approx(want, rel=1e-12)
         assert rep.passed
+
+
+def test_heat_trace_answers_a_time_grid_from_one_eigensolve(monkeypatch):
+    s = R.generate_lattice(2, 5)
+    times = [0.0, 0.1, 1.0, 10.0]
+    want = [R.heat_trace(s, t) for t in times]
+    calls = []
+    real = spectral.spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "spectrum", counted)
+    assert R.heat_trace(s, times) == want  # bit for bit
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(NegativeTime, match="got -2.0"):
+        R.heat_trace(s, [0.5, -2.0, -3.0])
+    assert calls == []
