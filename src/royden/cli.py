@@ -571,10 +571,12 @@ def cmd_heat(args):
         raise UsageError("--trials, --seed and --tol-solver only apply with --check")
     s = need_section(args)
     f = load_fn(s, args.fn)
-    out = spectral.heat_apply(s, args.t, f)
+    # --check heats random functions with the same eigendecomposition
+    spec = spectral.spectrum(s) if args.check and args.t > 0 else None
+    out = spectral.heat_apply(s, args.t, f, spec=spec)
     ultra = None
     if args.check:
-        rep = spectral.ultracontractivity_check(s, args.t, seed=args.seed, **options)
+        rep = spectral.ultracontractivity_check(s, args.t, seed=args.seed, spec=spec, **options)
         ultra = {
             "C": rep.C,
             "prefactor": rep.prefactor,

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import Section, VertexFn, check_bound
 from .numerics import SymOperator
@@ -32,15 +31,10 @@ class EnergyValue:
         return self.value
 
 
-def _upper_edges(s: Section):
-    coo = sp.triu(s.adj, k=1).tocoo()
-    return coo.row, coo.col, coo.data
-
-
 def energy(s: Section, f: VertexFn) -> EnergyValue:
     """Value of the energy form at f, split into edge and killing parts."""
     check_bound(s, f)
-    row, col, w = _upper_edges(s)
+    row, col, w = s.upper_edges
     diffs = f.values[row] - f.values[col]
     edge = float(np.dot(w, diffs * diffs))
     kill = float(np.dot(s.c, f.values * f.values))
@@ -51,7 +45,7 @@ def energy_inner(s: Section, f: VertexFn, g: VertexFn) -> float:
     """Polarized form: 0.5 sum b (f(x)-f(y))(g(x)-g(y)) + sum c f g."""
     check_bound(s, f)
     check_bound(s, g)
-    row, col, w = _upper_edges(s)
+    row, col, w = s.upper_edges
     edge = float(np.dot(w, (f.values[row] - f.values[col]) * (g.values[row] - g.values[col])))
     kill = float(np.dot(s.c, f.values * g.values))
     return edge + kill
@@ -78,8 +72,10 @@ def energy_matrix(s: Section, subset: np.ndarray) -> SymOperator:
     Rows and columns outside subset are dropped; the diagonal keeps the
     full weighted degree plus killing term, which realizes the wired
     (Dirichlet) restriction: edges leaving the subset act as grounding.
+    The operator gets the weights among subset and the diagonal as parts,
+    with the section's colour, and holds no reference to the section.
     """
     subset = np.asarray(subset, dtype=int)
-    diag = s.weighted_degree + s.c
-    L = sp.diags(diag) - s.adj
-    return SymOperator(L.tocsr()[subset][:, subset])
+    off = s.sub_adjacency(subset)
+    np.negative(off.data, out=off.data)
+    return SymOperator(off, colour=s.colour[subset], diagonal=(s.weighted_degree + s.c)[subset])

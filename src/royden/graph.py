@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import (
     DuplicateEdgeConflict,
@@ -89,6 +89,9 @@ class Section:
         boundary; admissible functions vanish there).
     labels : tuple
         Hashable per-vertex labels, unique.
+    parity : ndarray or None
+        Optional 0/1 per vertex from a builder that knows a 2-colouring
+        (coordinate sums, depths); see colour.
     """
 
     adj: sp.csr_matrix
@@ -96,6 +99,7 @@ class Section:
     m: np.ndarray
     dirichlet: np.ndarray
     labels: tuple
+    parity: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -119,6 +123,54 @@ class Section:
     def weighted_degree(self) -> np.ndarray:
         """Sum of incident edge weights per vertex."""
         return np.asarray(self.adj.sum(axis=1)).ravel()
+
+    @cached_property
+    def upper_edges(self) -> tuple:
+        """(row, col, weight) of every edge once, row < col, in CSR order."""
+        adj = self.adj
+        row = np.repeat(np.arange(self.n, dtype=adj.indices.dtype), np.diff(adj.indptr))
+        upper = adj.indices > row
+        return row[upper], adj.indices[upper], adj.data[upper]
+
+    def sub_adjacency(self, subset: np.ndarray) -> sp.csr_matrix:
+        """adj[subset][:, subset] for distinct vertices subset, gathered in
+        one pass over their rows: on small sections scipy's two fancy
+        indexings cost several times more."""
+        adj = self.adj
+        pos = np.full(self.n, -1, dtype=adj.indices.dtype)
+        pos[subset] = np.arange(len(subset))
+        first = adj.indptr[subset]
+        count = adj.indptr[subset + 1] - first
+        ends = np.cumsum(count)
+        slot = np.arange(ends[-1] if len(ends) else 0) + np.repeat(first - ends + count, count)
+        col = pos[adj.indices[slot]]
+        keep = col >= 0
+        kept = np.bincount(np.repeat(np.arange(len(subset)), count)[keep], minlength=len(subset))
+        indptr = np.concatenate([[0], np.cumsum(kept)]).astype(adj.indices.dtype)
+        return sp.csr_matrix((adj.data[slot[keep]], col[keep], indptr), shape=(len(subset),) * 2)
+
+    @cached_property
+    def colour(self) -> np.ndarray:
+        """0 or 1 per vertex: parity when the builder gave it, else the
+        parity of the BFS depth from the lowest vertex of each connected
+        component. On a bipartite graph no edge joins two vertices of one
+        colour; energy operators eliminate the rows of colour 1 that
+        have no neighbour of that colour (see numerics._Split)."""
+        if self.parity is not None:
+            return self.parity
+        if self.n == 0:
+            return np.zeros(0, dtype=np.int8)
+        # one search from an extra vertex joined to each component's lowest vertex
+        roots = np.unique(self.full_components, return_index=True)[1]
+        coo = self.adj.tocoo()
+        hub = np.full(len(roots), self.n)
+        links = sp.csr_matrix(
+            (np.ones(coo.nnz + len(roots)),
+             (np.concatenate([coo.row, hub]), np.concatenate([coo.col, roots]))),
+            shape=(self.n + 1, self.n + 1),
+        )
+        depth = dijkstra(links, directed=False, unweighted=True, indices=self.n)[: self.n]
+        return ((depth.astype(np.int64) - 1) % 2).astype(np.int8)
 
     def index_of(self, vertex) -> int:
         """Resolve a vertex given as a label, or as an index when no label matches."""
@@ -165,8 +217,7 @@ class Section:
         inter = self.interior
         if len(inter) == 0:
             return comp
-        sub = self.adj[inter][:, inter]
-        _, sub_comp = connected_components(sub, directed=False)
+        _, sub_comp = connected_components(self.sub_adjacency(inter), directed=False)
         comp[inter] = sub_comp
         return comp
 
@@ -644,7 +695,10 @@ def _lattice_section(d: int, radius: int, c_origin: float, c_const: float) -> Se
     # mixed-radix order is the lexicographic order of the coordinates
     axis = range(-radius, radius + 1)
     labels = tuple(axis) if d == 1 else tuple(itertools.product(axis, repeat=d))
-    return Section(adj=adj, c=c, m=np.ones(n), dirichlet=mask, labels=labels)
+    return Section(
+        adj=adj, c=c, m=np.ones(n), dirichlet=mask, labels=labels,
+        parity=(coords.sum(axis=1) % 2).astype(np.int8),
+    )
 
 
 def _lattice_orbits(d: int, radius: int, c_origin: float, c_const: float) -> Orbits:
@@ -689,7 +743,10 @@ def _lattice_orbits(d: int, radius: int, c_origin: float, c_const: float) -> Orb
 
     c = float(c_const) * size
     c[0] += float(c_origin)
-    sec = Section(adj=adj, c=c, m=size.copy(), dirichlet=a[:, -1] == radius, labels=labels)
+    sec = Section(
+        adj=adj, c=c, m=size.copy(), dirichlet=a[:, -1] == radius, labels=labels,
+        parity=(a.sum(axis=1) % 2).astype(np.int8),
+    )
     return Orbits(sec, size)
 
 
@@ -784,7 +841,10 @@ def _tree_section(degree: int, depth: int, c_origin: float, c_const: float) -> S
         c[0] = float(c_origin)
     if c_const:
         c = c + float(c_const)
-    return Section(adj=adj, c=c, m=np.ones(n), dirichlet=mask, labels=tuple(labels))
+    depth_parity = np.repeat(np.arange(depth + 1) % 2, widths).astype(np.int8)
+    return Section(
+        adj=adj, c=c, m=np.ones(n), dirichlet=mask, labels=tuple(labels), parity=depth_parity
+    )
 
 
 def _tree_orbits(degree: int, depth: int, c_origin: float, c_const: float) -> Orbits:
@@ -803,7 +863,11 @@ def _tree_orbits(degree: int, depth: int, c_origin: float, c_const: float) -> Or
     c = float(c_const) * size
     c[0] += float(c_origin)
     labels = tuple("r" + ".0" * j for j in range(depth + 1))
-    return Orbits(Section(adj=adj, c=c, m=size.copy(), dirichlet=mask, labels=labels), size)
+    sec = Section(
+        adj=adj, c=c, m=size.copy(), dirichlet=mask, labels=labels,
+        parity=(np.arange(depth + 1) % 2).astype(np.int8),
+    )
+    return Orbits(sec, size)
 
 
 def tree_generator(degree: int, c_origin: float = 0.0, c_const: float = 0.0) -> ExhaustionGenerator:

@@ -2,21 +2,30 @@
 
 SymOperator.solve is the one solve against a grounded energy operator.
 An operator's first solve runs conjugate gradients with diagonal
-preconditioning, which reports its iteration count and final residual.
-From the second solve on, or as soon as CG stalls or runs out of
-iterations, a SuperLU factor answers; it is built once, on first need,
-and kept with the operator, when the operator's reverse Cuthill-McKee
-envelope (an estimate of the factor's fill) is at most DIRECT_CAP
-entries. Every answer, on either route, is accepted only when its true
-residual meets the relative tolerance. solve_rank_one adds a pin
-e_o e_o^T by a Sherman-Morrison update, two solves against the held
-operator. Interior capacities need the diagonal of an operator's
-inverse: up to DENSE_CAP unknowns dense Cholesky (LAPACK dpotrf and
-dpotri, in place on one dense copy) gives it, above it one solve per unit
-vector against the held operator, so its one factor answers all but the
-first. Dense eigensolves reduce the pencil (A, M) with diagonal M to an
-ordinary symmetric problem through the M^(-1/2) similarity; LAPACK reads
-one triangle of that copy, so it is never symmetrized.
+preconditioning on the Schur complement of its red-black split: the
+rows of colour 1 that touch no other row of colour 1 are eliminated
+exactly, CG runs on the rest, and the eliminated unknowns are recovered
+from its answer. On the bipartite lattices, trees and orbit sections
+that is half the rows, and CG takes half the iterations over the same
+nonzeros (Reid 1972; Hageman & Young 1981); without a colour nothing is
+eliminated and CG runs on the operator itself. CG reports its iteration
+count and final residual. From the second solve on, or as soon as CG
+stalls or runs out of iterations, a SuperLU factor answers; it is built
+once, on first need, and kept with the operator, when the operator's
+reverse Cuthill-McKee envelope (an estimate of the factor's fill) is at
+most DIRECT_CAP entries. An operator built from parts (energy_matrix
+builds every one that way) forms its CSR only for the factor, apply or
+a dense copy, and its red-black blocks only for CG. Every answer, on
+either route, is accepted only when its true residual over all rows
+meets the relative tolerance. solve_rank_one adds a pin e_o e_o^T by a
+Sherman-Morrison update, two solves against the held operator. Interior
+capacities need the diagonal of an operator's inverse: up to DENSE_CAP
+unknowns dense Cholesky (LAPACK dpotrf and dpotri, in place on one dense
+copy) gives it, above it one solve per unit vector against the held
+operator, so its one factor answers all but the first. Dense eigensolves
+reduce the pencil (A, M) with diagonal M to an ordinary symmetric
+problem through the M^(-1/2) similarity; LAPACK reads one triangle of
+that copy, so it is never symmetrized.
 
 dense_eigh and inverse_diagonal are the only dense kernels, and callers
 hand them one block at a time. reflection_sectors turns commuting
@@ -53,62 +62,106 @@ DENSE_CAP = 4000
 DIRECT_CAP = 12_000_000
 # CG stalls when its smallest residual has not fallen to STALL_DROP of its
 # value STALL_WINDOW of the iteration budget earlier. Chosen from residual
-# traces: no solve of the benchmark's exhaust, cli or sweep workloads
-# stalls, nor one on Z^2 and Z^3 sections with weights up to 10^+-2,
-# while Z^2 sections at 10^+-3 and 10^+-6, which exhaust the budget,
-# stall after 7-20% of it
-STALL_WINDOW = 0.1
+# traces of CG on the red-black Schur complement: over a fifth of the
+# budget the best residual of every converging solve fell below 0.06 of
+# its value (the solves of the benchmark's exhaust, cli and sweep
+# workloads, and Z^2 and Z^3 sections with weights up to 10^+-3), while
+# on Z^2 sections at 10^+-6, which exhaust the budget, it stayed above
+# 0.28, so they stall after a fifth of it. Over a tenth, converging
+# solves at 10^+-3 kept up to 0.55 and would have stalled
+STALL_WINDOW = 0.2
 STALL_DROP = 0.25
 
 
 class SymOperator:
-    """A symmetric positive semidefinite operator backed by a CSR matrix.
+    """A symmetric positive semidefinite operator A.
 
-    apply() uses scipy's fixed-order matvec, so repeated runs are
-    bit-identical on the same inputs. solve() answers A x = rhs for a
-    grounded (positive definite) operator and keeps the sparse factor it
-    builds, so an operator held by its caller is factored at most once.
+    It is given as a sparse matrix, or, with diagonal given, as the
+    matrix of its off-diagonal part: A = diag(diagonal) + matrix. The CSR
+    of that sum is built on first need (apply, dense, .matrix, the
+    factor), and the red-black split CG runs on (see _Split) on the first
+    CG, so an operator only ever solved by CG never forms it. colour
+    optionally marks each row 0 or 1; rows of colour 1 are the ones CG
+    may eliminate. apply() uses scipy's fixed-order matvec, so repeated
+    runs are bit-identical on the same inputs. solve() answers A x = rhs
+    for a grounded (positive definite) operator and keeps the sparse
+    factor it builds, so an operator held by its caller is factored at
+    most once.
     """
 
-    def __init__(self, matrix: sp.spmatrix):
-        self._matrix = sp.csr_matrix(matrix)
-        if self._matrix.shape[0] != self._matrix.shape[1]:
+    def __init__(self, matrix: sp.spmatrix, colour=None, diagonal=None):
+        self._rows = sp.csr_matrix(matrix)
+        n = self._rows.shape[0]
+        if self._rows.shape[1] != n:
             raise InvalidParameter("operator matrix must be square")
+        if diagonal is None:
+            self._matrix, self._diag = self._rows, self._rows.diagonal()
+        else:
+            self._matrix, self._diag = None, np.asarray(diagonal, dtype=float)
+        self._colour = None if colour is None else np.asarray(colour)
+        for part in (self._diag, self._colour):
+            if part is not None and part.shape != (n,):
+                raise InvalidParameter(f"operator parts must have {n} entries")
+        self._split = None
         self._solves = 0
         self._lu = None  # the SuperLU factor; False once it cannot be built
 
     @property
     def dimension(self) -> int:
-        return self._matrix.shape[0]
+        return self._rows.shape[0]
 
     @property
     def matrix(self) -> sp.csr_matrix:
+        if self._matrix is None:
+            self._matrix = (self._rows + sp.diags(self._diag)).tocsr()
         return self._matrix
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._matrix.dot(x)
+        return self.matrix.dot(x)
 
     def diagonal(self) -> np.ndarray:
-        return self._matrix.diagonal()
+        return self._diag
 
     def dense(self) -> np.ndarray:
-        return self._matrix.toarray()
+        return self.matrix.toarray()
+
+    def red_black(self) -> _Split:
+        """The red-black split of this operator, built on first call."""
+        if self._split is None:
+            self._split = _Split.of(self._rows, self._diag, self._colour)
+        return self._split
 
     def solve(self, rhs: np.ndarray, rel_tol: float = 1e-10) -> CGResult:
         """Solve A x = rhs, choosing the route.
 
-        The first solve runs CG, which hands over to the factor once it
-        stalls (see cg_solve) or runs out of iterations; the result then
-        carries the CG iterations spent. Later solves use the factor
-        first. A factor answer that misses rel_tol gives way to CG with
-        its whole budget, so no answer CG alone would find is lost; when
-        neither route meets rel_tol, CG's NoConvergence is raised.
+        rhs is one vector, or an (n, k) array of k right-hand sides: then
+        x has k columns, iterations sums theirs and residual is the
+        largest. Every right-hand side of the operator's first call runs
+        CG, which hands over to the factor once it stalls (see cg_solve)
+        or runs out of iterations; the result then carries the CG
+        iterations spent. Later calls use the factor first. A factor
+        answer that misses rel_tol gives way to CG with its whole budget,
+        so no answer CG alone would find is lost; when neither route
+        meets rel_tol, CG's NoConvergence is raised.
         """
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (self.dimension,):
-            raise InvalidParameter(f"rhs has shape {rhs.shape}, expected ({self.dimension},)")
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != self.dimension:
+            raise InvalidParameter(
+                f"rhs has shape {rhs.shape}, expected ({self.dimension},) or ({self.dimension}, k)"
+            )
+        first = self._solves == 0
         self._solves += 1
-        if self._solves > 1:
+        if rhs.ndim == 1:
+            return self._solve(rhs, rel_tol, first)
+        got = [self._solve(b, rel_tol, first) for b in rhs.T]
+        return CGResult(
+            np.column_stack([g.x for g in got]) if got else np.zeros(rhs.shape),
+            sum(g.iterations for g in got),
+            max((g.residual for g in got), default=0.0),
+        )
+
+    def _solve(self, rhs: np.ndarray, rel_tol: float, first: bool) -> CGResult:
+        if not first:
             got = self._direct(rhs, rel_tol)
             return got if got is not None else cg_solve(self, rhs, rel_tol=rel_tol)
         try:
@@ -134,12 +187,12 @@ class SymOperator:
         """
         if self._lu is None:
             self._lu = False
-            if _envelope(self._matrix) <= DIRECT_CAP:
+            if _envelope(self.matrix) <= DIRECT_CAP:
                 from scipy.sparse.linalg import splu
 
                 try:
                     lu = splu(
-                        self._matrix.tocsc(),
+                        self.matrix.tocsc(),
                         permc_spec="MMD_AT_PLUS_A",
                         diag_pivot_thresh=0.0,
                         options={"SymmetricMode": True},
@@ -165,6 +218,90 @@ class SymOperator:
         if not residual <= rel_tol * float(np.linalg.norm(b)):
             return None
         return CGResult(np.ldexp(x, shift), iterations, math.ldexp(residual, shift))
+
+
+def _block(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape, dtype) -> sp.csr_matrix:
+    """CSR matrix of entries given in row order, indices kept in dtype:
+    scipy takes that without scanning them."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+    return sp.csr_matrix((data, cols.astype(dtype), indptr.astype(dtype)), shape=shape)
+
+
+class _Split(NamedTuple):
+    """The red-black split of a symmetric A (Reid 1972; Hageman & Young,
+    Applied Iterative Methods, 1981, ch. 8-9).
+
+    The black rows B are the rows of colour 1 with a positive diagonal
+    and no off-diagonal entry in a column of colour 1, so A_BB is the
+    diagonal D_B; the others are red, R. Eliminating x_B = D_B^(-1) (b_B -
+    A_BR x_R) leaves the Schur complement S = A_RR - A_RB D_B^(-1) A_BR,
+    with A_BR = A_RB^T. On a bipartite graph coloured by parity A_RR is
+    diagonal too, and Jacobi-preconditioned CG on S takes half the
+    iterations CG takes on A, over the same nonzeros. Without colour B is
+    empty and S is A. A_BR is kept beside A_RB: a transposed view costs
+    more to make than a small product.
+    """
+
+    red: np.ndarray  # row indices of R, ascending
+    black: np.ndarray  # row indices of B, ascending
+    d_red: np.ndarray  # diagonal of A on R
+    d_black: np.ndarray  # D_B
+    off_red: sp.csr_matrix | None  # off-diagonal part of A_RR; None when it is empty
+    a_rb: sp.csr_matrix
+    a_br: sp.csr_matrix
+
+    @classmethod
+    def of(cls, rows: sp.csr_matrix, diag: np.ndarray, colour) -> _Split:
+        """The split of A, given as the CSR rows (its off-diagonal entries
+        are read, diagonal entries skipped) and its diagonal."""
+        n = len(diag)
+        row = np.repeat(np.arange(n), np.diff(rows.indptr))
+        col = rows.indices
+        off = col != row
+        black = np.zeros(n, dtype=bool)
+        if colour is not None:
+            odd = colour == 1
+            touched = np.bincount(row[off & odd[col]], minlength=n) > 0
+            black = odd & ~touched & (diag > 0)
+        red, blk = np.flatnonzero(~black), np.flatnonzero(black)
+        pos = np.empty(n, dtype=np.intp)
+        pos[red] = np.arange(len(red))
+        pos[blk] = np.arange(len(blk))
+        from_red = off & ~black[row]
+        rr, rb, br = from_red & ~black[col], from_red & black[col], off & black[row]
+        dtype = rows.indices.dtype
+        return cls(
+            red=red,
+            black=blk,
+            d_red=diag[red],
+            d_black=diag[blk],
+            off_red=_block(pos[row[rr]], pos[col[rr]], rows.data[rr], (len(red),) * 2, dtype)
+            if rr.any() else None,
+            a_rb=_block(pos[row[rb]], pos[col[rb]], rows.data[rb], (len(red), len(blk)), dtype),
+            a_br=_block(pos[row[br]], pos[col[br]], rows.data[br], (len(blk), len(red)), dtype),
+        )
+
+    def schur(self, p: np.ndarray) -> np.ndarray:
+        """S p."""
+        out = self.d_red * p
+        if self.off_red is not None:
+            out += self.off_red @ p
+        if len(self.black):
+            out -= self.a_rb @ ((self.a_br @ p) / self.d_black)
+        return out
+
+    def recover(self, b: np.ndarray, x_red: np.ndarray):
+        """x on every row from x_R, with the true residual b - A x on the
+        red rows and its norm over all rows."""
+        b_black = b[self.black]
+        x = np.empty(len(b))
+        x[self.red] = x_red
+        x[self.black] = x_black = (b_black - self.a_br @ x_red) / self.d_black
+        r_red = b[self.red] - self.d_red * x_red - self.a_rb @ x_black
+        if self.off_red is not None:
+            r_red -= self.off_red @ x_red
+        r_black = b_black - self.a_br @ x_red - self.d_black * x_black
+        return x, r_red, math.hypot(float(np.linalg.norm(r_red)), float(np.linalg.norm(r_black)))
 
 
 def _envelope(a: sp.csr_matrix) -> int:
@@ -199,15 +336,18 @@ def cg_solve(
 ) -> CGResult:
     """Solve A x = rhs by preconditioned conjugate gradients.
 
-    Convergence means ||A x - rhs|| <= rel_tol * ||rhs|| in the Euclidean
-    norm (checked on the true residual, not the recurrence). Raises
-    NoConvergence past default_max_iter(n) iterations, once r^T z is 0 or
-    once the curvature p^T A p underflows to 0 (it is positive with p
-    scaled by a power of two), and SingularOperator when the curvature
-    is truly <= 0. The iteration runs on
-    rhs scaled by a power of two to a peak in [0.5, 1), which is exact,
-    so tiny or huge data cannot underflow or overflow in its inner
-    products.
+    CG runs on the Schur complement S of A's red-black split (see
+    _Split), preconditioned by A's diagonal on the red rows, and x on
+    the black rows is recovered from the red ones; iterations counts
+    CG's steps on S. Convergence means ||A x - rhs|| <= rel_tol * ||rhs||
+    in the Euclidean norm over all rows, checked on the true residual,
+    not the recurrence. Raises NoConvergence past default_max_iter(n)
+    iterations, once r^T z is 0 or once the curvature p^T S p underflows
+    to 0 (it is positive with p scaled by a power of two), and
+    SingularOperator when the curvature is truly <= 0. The iteration
+    runs on rhs scaled by a power of two to a peak in [0.5, 1), which is
+    exact, so tiny or huge data cannot underflow or overflow in its
+    inner products.
 
     With stall_exit given, CG may also stop early: once its smallest
     residual so far has not fallen to STALL_DROP of what it was a
@@ -227,25 +367,28 @@ def cg_solve(
         return CGResult(x=np.zeros(n), iterations=0, residual=0.0)
     shift = math.frexp(peak)[1]
     rhs = np.ldexp(rhs, -shift)
-    b_norm = float(np.linalg.norm(rhs))
-    target = rel_tol * b_norm
+    target = rel_tol * float(np.linalg.norm(rhs))
 
-    diag = A.diagonal()
-    if np.any(diag < 0):
+    if np.any(A.diagonal() < 0):
         raise SingularOperator("negative diagonal entry")
+    split = A.red_black()
+    # x_R = 0 with x_B recovered from it, and its true residual
+    x, r, r_norm = split.recover(rhs, np.zeros(len(split.red)))
+    if r_norm <= target:  # the right-hand side lives on rows that recovery answers
+        return CGResult(np.ldexp(x, shift), 0, math.ldexp(r_norm, shift))
+    diag = split.d_red
     # zero diagonal rows are acceptable only where rhs is zero
     dead = diag == 0
-    if np.any(dead & (rhs != 0)):
+    if np.any(dead & (r != 0)):
         raise SingularOperator("zero diagonal row with nonzero right-hand side")
     inv_diag = np.where(dead, 0.0, 1.0 / np.where(dead, 1.0, diag))
 
-    x = np.zeros(n)
-    r = rhs.copy()
+    x_red = np.zeros(len(split.red))
     z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)
-    r_norm = b_norm
-    lowest = [b_norm]  # lowest[k]: the smallest residual after k iterations
+    lowest = [r_norm]  # lowest[k]: the smallest residual after k iterations
+    missed = math.inf  # the true residual of the last answer refused
 
     for it in range(1, max_iter + 1):
         if rz == 0.0:  # r is not 0 here: r^T z underflowed (huge diagonal)
@@ -255,12 +398,10 @@ def cg_solve(
                 iterations=it - 1,
                 residual=r_norm,
             )
-        Ap = A.apply(p)
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            if r_norm <= target:
-                return CGResult(np.ldexp(x, shift), it - 1, math.ldexp(r_norm, shift))
-            if pAp == 0.0 and _curvature_underflows(A, p):
+        Sp = split.schur(p)
+        pSp = float(p @ Sp)
+        if pSp <= 0.0:
+            if pSp == 0.0 and _curvature_underflows(split.schur, p):
                 r_norm = math.ldexp(r_norm, shift)
                 raise NoConvergence(
                     f"breakdown after {it - 1} iterations: the curvature underflowed "
@@ -269,20 +410,28 @@ def cg_solve(
                     residual=r_norm,
                 )
             raise SingularOperator(
-                f"curvature {pAp:g} along a search direction after {it - 1} iterations"
+                f"curvature {pSp:g} along a search direction after {it - 1} iterations"
             )
-        alpha = rz / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
-        r_norm = float(np.linalg.norm(r))
+        alpha = rz / pSp
+        x_red += alpha * p
+        r -= alpha * Sp
+        r_norm = math.sqrt(float(r @ r))  # np.linalg.norm's own sum, without its overhead
         if r_norm <= target:
-            # confirm on the true residual before accepting
-            true_r = rhs - A.apply(x)
-            true_norm = float(np.linalg.norm(true_r))
-            if true_norm <= target:
-                return CGResult(np.ldexp(x, shift), it, math.ldexp(true_norm, shift))
-            r = true_r
-            r_norm = true_norm
+            # confirm on the true residual over all rows before accepting
+            x, r, r_norm = split.recover(rhs, x_red)
+            if r_norm <= target:
+                return CGResult(np.ldexp(x, shift), it, math.ldexp(r_norm, shift))
+            if r_norm > 0.5 * missed:
+                # CG restarted from the true residual and did not halve it:
+                # its rounding floor lies above the target
+                r_norm = math.ldexp(r_norm, shift)
+                raise NoConvergence(
+                    f"true residual stuck at {r_norm:g} after {it} iterations "
+                    f"(target {math.ldexp(target, shift):g})",
+                    iterations=it,
+                    residual=r_norm,
+                )
+            missed = r_norm
         if stall_exit is not None:
             lowest.append(min(lowest[-1], r_norm))
             if 0 < window <= it and lowest[it] > STALL_DROP * lowest[it - window]:
@@ -296,9 +445,9 @@ def cg_solve(
                 stall_exit = None
         z = inv_diag * r
         rz_next = float(r @ z)
-        beta = rz_next / rz
+        p *= rz_next / rz
+        p += z
         rz = rz_next
-        p = z + beta * p
 
     r_norm, target = math.ldexp(r_norm, shift), math.ldexp(target, shift)
     raise NoConvergence(
@@ -308,7 +457,7 @@ def cg_solve(
     )
 
 
-def _curvature_underflows(A: SymOperator, p: np.ndarray) -> bool:
+def _curvature_underflows(apply: Callable[[np.ndarray], np.ndarray], p: np.ndarray) -> bool:
     """True when p^T A p is positive once p is scaled by a power of two to
     a peak in [0.5, 1): a curvature of 0 was then an underflow (tiny p
     against a huge diagonal), not a null direction of A."""
@@ -317,7 +466,7 @@ def _curvature_underflows(A: SymOperator, p: np.ndarray) -> bool:
         return False
     q = np.ldexp(p, -math.frexp(peak)[1])
     with np.errstate(over="ignore"):  # an overflow to inf is still positive
-        return float(q @ A.apply(q)) > 0.0
+        return float(q @ apply(q)) > 0.0
 
 
 def inverse_diagonal(a: np.ndarray) -> np.ndarray:

@@ -48,11 +48,11 @@ MONOTONE_SLACK = 1e-10
 def _extend(s: Section, free: np.ndarray, values: np.ndarray, rel_tol: float) -> None:
     """Overwrite values on free with the harmonic extension of the rest.
 
-    Solves A[free] u = adj[free] @ values, so values must be zero on free
-    on entry; the other entries are the prescribed data.
+    Solves A[free] u = (adj @ values)[free], so values must be zero on
+    free on entry; the other entries are the prescribed data.
     """
     if len(free):
-        rhs = s.adj[free].dot(values)
+        rhs = s.adj.dot(values)[free]
         values[free] = energy_matrix(s, free).solve(rhs, rel_tol=rel_tol).x
 
 
@@ -63,6 +63,48 @@ class EquilibriumPotential:
     degenerate: bool  # ungrounded component: infimum 0, u constant 1 there
 
 
+def _equilibria(s: Section, xs, rel_tol: float) -> list:
+    """equilibrium_potential(s, x) for every x in xs.
+
+    On a grounded interior component with operator A, held by the
+    section (the one gamma and interior_capacities use), the potential
+    is u = g / g(x) with g = A^(-1) e_x. It is solved as v = A^(-1) w_x
+    for the weights w_x from x into the component: A e_x = A_xx e_x - w_x
+    gives g = (e_x + v) / A_xx, so u = (e_x + v) / (1 + v(x)) and u(x) = 1
+    exactly. That CG starts from g = e_x / A_xx, and its residual bound
+    ||A v - w_x|| <= rel_tol ||w_x|| bounds ||A g - e_x|| by rel_tol. cap
+    is the energy of u (not g^T A g / g(x)^2, whose g(x)^2 underflows once
+    the killing term nears the float range). The x of one component are
+    the columns of one solve.
+    """
+    idx = np.array([s.index_of(x) for x in xs], dtype=int)
+    for x, xi in zip(xs, idx):
+        if s.dirichlet[xi]:
+            raise InvalidParameter(f"vertex {x!r} is masked; capacity needs an interior vertex")
+    cids = s.interior_components[idx]
+    got = [None] * len(idx)
+    for cid in np.unique(cids):
+        at = np.flatnonzero(cids == cid)
+        if not s.grounded[cid]:
+            values = np.zeros(s.n)
+            values[s.interior_members[cid]] = 1.0
+            for k in at:
+                u = VertexFn(s, values.copy())
+                got[k] = EquilibriumPotential(u=u, cap=0.0, degenerate=True)
+            continue
+        sup = _support(s, ("interior", int(cid)))
+        weights = s.adj[idx[at]][:, sup.members].toarray().T
+        v = sup.op.solve(weights, rel_tol=rel_tol).x
+        for j, (k, row) in enumerate(zip(at, np.searchsorted(sup.members, idx[at]))):
+            w = v[:, j]
+            w[row] += 1.0
+            values = np.zeros(s.n)
+            values[sup.members] = w / w[row]
+            u = VertexFn(s, values)
+            got[k] = EquilibriumPotential(u=u, cap=energy(s, u).value, degenerate=False)
+    return got
+
+
 def equilibrium_potential(s: Section, x, rel_tol: float = 1e-10) -> EquilibriumPotential:
     """Energy minimizer among functions with u(x) = 1 vanishing on the mask.
 
@@ -70,19 +112,7 @@ def equilibrium_potential(s: Section, x, rel_tol: float = 1e-10) -> EquilibriumP
     never touches the mask, the infimum is 0 and the constant function 1
     on the component is returned with the degenerate flag set.
     """
-    xi = s.index_of(x)
-    if s.dirichlet[xi]:
-        raise InvalidParameter(f"vertex {x!r} is masked; capacity needs an interior vertex")
-    cid = s.interior_components[xi]
-    comp = s.interior_members[cid]
-    values = np.zeros(s.n)
-    if not s.grounded[cid]:
-        values[comp] = 1.0
-        return EquilibriumPotential(u=VertexFn(s, values), cap=0.0, degenerate=True)
-    values[xi] = 1.0
-    _extend(s, comp[comp != xi], values, rel_tol)
-    u = VertexFn(s, values)
-    return EquilibriumPotential(u=u, cap=energy(s, u).value, degenerate=False)
+    return _equilibria(s, [x], rel_tol)[0]
 
 
 def interior_capacities(s: Section, rel_tol: float = 1e-10) -> np.ndarray:
@@ -533,8 +563,10 @@ def default_gap_levels(gen: ExhaustionGenerator) -> tuple:
 
 
 def _caps(s: Section, xs, rel_tol: float) -> list:
-    """cap(x) on s for every x in xs."""
-    return [equilibrium_potential(s, x, rel_tol=rel_tol).cap for x in xs]
+    """cap(x) on s for every x in xs, from one solve per interior component:
+    its columns run CG on the operator's first call, so no sparse factor is
+    built for a handful of vertices."""
+    return [e.cap for e in _equilibria(s, xs, rel_tol)]
 
 
 def _window_scan(gen: ExhaustionGenerator, window_level: int, rel_tol: float):

@@ -131,13 +131,19 @@ def spectrum(s: Section, k: int | None = None, vectors: bool = True) -> Spectral
     # seeded random start: every automorphism fixes a constant vector, whose
     # Krylov space misses the eigenvalues with non-symmetric eigenvectors
     v0 = np.random.default_rng(0).standard_normal(ni)
+    # the run sees A scaled by a power of two to a largest diagonal entry
+    # in [0.5, 1), which is exact: with entries near the float range the
+    # shift-invert iterate A^(-1) v would underflow to the zero vector
+    shift = math.frexp(float(np.max(A.diagonal())))[1]
     try:
         out = eigsh(
-            A.matrix, k=k, M=sp.diags(mass).tocsc(), sigma=0, v0=v0, return_eigenvectors=vectors
+            A.matrix * math.ldexp(1.0, -shift), k=k, M=sp.diags(mass).tocsc(), sigma=0, v0=v0,
+            return_eigenvectors=vectors,
         )
     except ArpackError as failure:  # ArpackNoConvergence included
         raise NoConvergence(f"Lanczos run for {k} eigenvalues failed: {failure}") from None
     w, V = out if vectors else (out, None)
+    w = np.ldexp(w, shift)
     order = np.argsort(w)
     return SpectralResult(
         eigenvalues=w[order],
@@ -251,18 +257,29 @@ def _resolve_enumeration(s: Section, inter: np.ndarray, enumeration) -> np.ndarr
 # heat semigroup
 
 
-def heat_apply(s: Section, t: float, f: VertexFn) -> VertexFn:
+def _full_spectrum(s: Section, spec: SpectralResult | None) -> SpectralResult:
+    """spec, checked to be the full spectrum of s with vectors, or that spectrum."""
+    if spec is None:
+        return spectrum(s)
+    full = spec.section is s and len(spec.eigenvalues) == len(spec.interior)
+    if not full or spec.eigenvectors is None:
+        raise InvalidParameter("spec must be the full spectrum of the section, with vectors")
+    return spec
+
+
+def heat_apply(s: Section, t: float, f: VertexFn, spec: SpectralResult | None = None) -> VertexFn:
     """exp(-t L) f through the dense eigendecomposition, L = M^(-1) A.
 
     The semigroup acts on interior values; the result vanishes on the
-    mask. t = 0 returns f unchanged.
+    mask. t = 0 returns f unchanged. spec is spectrum(s) when the caller
+    already has it.
     """
     check_bound(s, f)
     if t < 0:
         raise NegativeTime(f"t must be >= 0, got {t}")
     if t == 0:
         return VertexFn(s, f.values.copy())
-    spec = spectrum(s)
+    spec = _full_spectrum(s, spec)
     inter = spec.interior
     coeff = spec.eigenvectors.T @ (s.m[inter] * f.values[inter])
     out = np.zeros(s.n)
@@ -294,12 +311,18 @@ class UltracontractivityReport:
 
 
 def ultracontractivity_check(
-    s: Section, t: float, trials: int = 50, seed: int = 0, rel_tol: float = 1e-10
+    s: Section,
+    t: float,
+    trials: int = 50,
+    seed: int = 0,
+    rel_tol: float = 1e-10,
+    spec: SpectralResult | None = None,
 ) -> UltracontractivityReport:
     """Verify ||exp(-t L) f||_inf <= C (2 e t)^(-1/2) ||f||_M on random f.
 
     C is the sup-norm constant of the section; the prefactor comes from
-    sup_lambda lambda exp(-2 t lambda) = 1/(2 e t).
+    sup_lambda lambda exp(-2 t lambda) = 1/(2 e t). spec is spectrum(s)
+    when the caller already has it.
     """
     if t < 0:
         raise NegativeTime(f"t must be >= 0, got {t}")
@@ -307,7 +330,7 @@ def ultracontractivity_check(
         raise InvalidParameter("the bound degenerates at t = 0; use t > 0")
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
-    spec = spectrum(s)
+    spec = _full_spectrum(s, spec)
     inter = spec.interior
     mass = s.m[inter]
     const = sup_norm_constant(s, rel_tol=rel_tol)

@@ -66,6 +66,40 @@ def test_energy_matrix_is_wired_restriction():
     np.testing.assert_allclose(A, [[1.0, -1.0], [-1.0, 2.0]])
 
 
+def test_energy_matrix_assembles_its_csr_only_when_asked():
+    import scipy.sparse as sp
+
+    s = R.generate_lattice(3, 4)
+    sub = s.interior[::2]
+    op = energy_matrix(s, sub)
+    b = np.random.default_rng(0).standard_normal(len(sub))
+    x = op.solve(b).x  # CG on the red-black split
+    assert op._matrix is None
+    # the CSR, once asked for, holds exactly the entries of the wired restriction
+    want = (sp.diags(s.weighted_degree + s.c) - s.adj).tocsr()[sub][:, sub]
+    assert op.matrix.nnz == want.nnz
+    assert (op.matrix != want).nnz == 0
+    assert np.linalg.norm(b - op.apply(x)) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_colours_are_a_2_colouring_on_bipartite_sections():
+    # builders give coordinate-sum and depth parity; any other section
+    # gets BFS depth parity per component
+    built = [
+        R.generate_lattice(2, 3),
+        R.generate_tree(3, 3),
+        R.lattice_generator(3).orbits(3).section,
+        R.tree_generator(3).orbits(4).section,
+    ]
+    for s in built + [R.parse_graph_file(R.serialize_graph_file(t)) for t in built]:
+        coo = s.adj.tocoo()
+        assert set(np.unique(s.colour)) <= {0, 1}
+        assert np.all(s.colour[coo.row] != s.colour[coo.col])
+    # an odd cycle cannot be 2-coloured; an isolated vertex has colour 0
+    s = R.build_section(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+    assert s.colour.tolist() == [0, 1, 1, 0]
+
+
 def test_energy_quadratic_vs_matrix():
     rng = np.random.default_rng(4)
     for _ in range(25):

@@ -61,6 +61,24 @@ def test_cg_scales_exactly_with_tiny_or_huge_data(exponent):
     assert scaled.residual == np.ldexp(unit.residual, exponent)
 
 
+def test_cg_on_a_coloured_matrix_with_its_diagonal_stored():
+    # a path 0-1-2-3-4 with a chord 2-4 (odd cycle 2-3-4) and killing at 0:
+    # rows 1 and 3 are eliminated, the colour-1 row 4 touches row 3 and stays
+    A = np.array([
+        [2.5, -1.0, 0.0, 0.0, 0.0],
+        [-1.0, 2.0, -1.0, 0.0, 0.0],
+        [0.0, -1.0, 3.0, -1.0, -1.0],
+        [0.0, 0.0, -1.0, 2.0, -1.0],
+        [0.0, 0.0, -1.0, -1.0, 2.5],
+    ])
+    op = SymOperator(sp.csr_matrix(A), colour=[0, 1, 0, 1, 1])
+    assert op.red_black().black.tolist() == [1]
+    rhs = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
+    res = cg_solve(op, rhs, rel_tol=1e-12)
+    np.testing.assert_allclose(res.x, np.linalg.solve(A, rhs), rtol=1e-11)
+    assert res.residual <= 1e-12 * np.linalg.norm(rhs)
+
+
 def test_cg_detects_singular():
     # zero row with nonzero rhs cannot be solved
     A = op([[1.0, 0.0], [0.0, 0.0]])

@@ -111,24 +111,25 @@ def test_window_scan_copies_equal_each_vertex_own_solve(gen, window_level):
 
 
 def test_window_scan_solves_once_per_orbit(monkeypatch):
+    import royden.numerics as numerics
+
     solved = []
-    real = potential.equilibrium_potential
+    real = numerics.cg_solve
 
-    def record(s, x, rel_tol=1e-10):
-        solved.append(x)
-        return real(s, x, rel_tol=rel_tol)
+    def record(A, rhs, **kwargs):
+        solved.append(A.dimension)
+        return real(A, rhs, **kwargs)
 
-    monkeypatch.setattr(potential, "equilibrium_potential", record)
+    monkeypatch.setattr(numerics, "cg_solve", record)
+    monkeypatch.setattr(numerics, "DIRECT_CAP", 0)  # no factor to fall back on
     gen = R.lattice_generator(3)
     _, reps, _ = _window_scan(gen, 2, 1e-10)
-    # 27 window vertices fall into 4 orbits, one solve each at each of 3 levels
+    # 27 window vertices fall into 4 orbits: one CG solve each at each of 3
+    # levels, all against the interior operator of that level
     assert len(gen.section(2).interior) == 27
     assert len(reps) == 4
-    assert len(solved) == 12
-    for level_solves in (solved[:4], solved[4:8], solved[8:]):
-        assert sorted(gen.orbit_label(x) for x in level_solves) == [
-            (0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)
-        ]
+    assert sorted(gen.orbit_label(x) for x in reps) == [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+    assert solved == [3**3] * 4 + [7**3] * 4 + [15**3] * 4
 
 
 def _full_builds(gen):

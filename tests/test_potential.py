@@ -457,18 +457,52 @@ def _log_uniform_lattice(d, radius, decades, seed):
 def test_wide_weight_capacity_matches_dense_inverse(monkeypatch):
     import royden.numerics as numerics
 
-    s = _log_uniform_lattice(2, 20, 3, seed=0)
-    inter = s.interior
-    G = np.linalg.inv(_dense_laplacian(s)[np.ix_(inter, inter)])
-    xi = int(np.searchsorted(inter, s.index_of((0, 0))))
-    # Jacobi-PCG stalls here; the sparse factor answers
-    cap = R.equilibrium_potential(s, (0, 0)).cap
-    assert cap == pytest.approx(1.0 / G[xi, xi], rel=1e-8)
-    np.testing.assert_allclose(R.interior_capacities(s), 1.0 / np.diag(G), rtol=1e-8)
-    # without the direct route the CG failure surfaces unchanged
+    # at 10^+-3 CG on the red-black reduced operator converges; at 10^+-4
+    # it runs out of iterations, and the sparse factor answers
+    for decades in (3, 4):
+        s = _log_uniform_lattice(2, 20, decades, seed=0)
+        inter = s.interior
+        G = np.linalg.inv(_dense_laplacian(s)[np.ix_(inter, inter)])
+        xi = int(np.searchsorted(inter, s.index_of((0, 0))))
+        cap = R.equilibrium_potential(s, (0, 0)).cap
+        assert cap == pytest.approx(1.0 / G[xi, xi], rel=1e-8)
+        np.testing.assert_allclose(R.interior_capacities(s), 1.0 / np.diag(G), rtol=1e-8)
+    # without the direct route CG alone answers at 10^+-3, and its failure
+    # at 10^+-4 surfaces unchanged
     monkeypatch.setattr(numerics, "DIRECT_CAP", 100)
+    R.equilibrium_potential(_log_uniform_lattice(2, 20, 3, seed=0), (0, 0))
     with pytest.raises(NoConvergence):
-        R.equilibrium_potential(s, (0, 0))
+        R.equilibrium_potential(_log_uniform_lattice(2, 20, 4, seed=0), (0, 0))
+
+
+def test_capacity_with_killing_near_the_float_range_stays_quiet():
+    import warnings
+
+    # g = A^-1 e_x is about 1e-308 here, so g(x)^2 underflows: cap is the
+    # energy of u = g / g(x), and u(x) is 1 exactly
+    s = R.lattice_generator(2, c_const=1e308).section(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = R.equilibrium_potential(s, (0, 0))
+    assert got.u[(0, 0)] == 1.0
+    assert got.cap == pytest.approx(1e308, rel=1e-12)
+
+
+def test_held_operators_do_not_keep_their_section_alive():
+    import gc
+    import weakref
+
+    s = R.generate_lattice(2, 6)
+    R.equilibrium_potential(s, (0, 0))
+    R.gamma(s, (0, 0), (1, 2))
+    assert s.operators
+    ref = weakref.ref(s)
+    gc.disable()
+    try:
+        del s  # reference counting alone frees it: no cycle through an operator
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_interior_capacities_assemble_one_energy_matrix(monkeypatch):

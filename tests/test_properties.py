@@ -1,10 +1,12 @@
 """Property tests: interior components, their grounding, and the
 capacities, metrics, Dirichlet solves and spectra built on them, against
 brute-force references and dense inverse, pseudo-inverse or generalized
-eigenvalue oracles on random sections; and the walker's alias tables
-against the transition probabilities b(v, y) / pi(v) and, bit for bit,
-against Vose's pairing on rows padded to the largest degree, on random
-sections and on weighted stars whose hubs pair alone.
+eigenvalue oracles on random sections; CG on the red-black Schur
+complement against dense solves and against CG on the whole operator;
+and the walker's alias tables against the transition probabilities
+b(v, y) / pi(v) and, bit for bit, against Vose's pairing on rows padded
+to the largest degree, on random sections and on weighted stars whose
+hubs pair alone.
 
 Sections have several interior components, some touching the mask, some
 carrying killing and some with neither; weights span 10^-3..10^3 (10^-6..
@@ -642,3 +644,61 @@ def test_blocks_of_sectors_and_component_orbits_match_dense_oracles(drawn):
             np.testing.assert_allclose(caps[rows], oracle, rtol=1e-12, atol=0.0)
         else:
             assert (caps[rows] == 0.0).all()
+
+
+@st.composite
+def weighted_graphs(draw):
+    """(section, bipartite): a Z^2 box, a tree or a graph with an odd cycle,
+    reweighted over 10^-3..10^3, with killing on some vertices and a few
+    isolated killed vertices; every interior component is grounded."""
+    kind = draw(st.sampled_from(["box", "tree", "odd"]))
+    if kind == "box":
+        base = R.generate_lattice(2, draw(st.integers(2, 5)))
+    elif kind == "tree":
+        base = R.generate_tree(3, draw(st.integers(2, 4)))
+    if kind == "odd":
+        cycle = 2 * draw(st.integers(1, 4)) + 1
+        n = cycle + draw(st.integers(0, 8))
+        pairs = {(i, (i + 1) % cycle) for i in range(cycle)}
+        pairs |= {(draw(st.integers(0, v - 1)), v) for v in range(cycle, n)}
+        mask = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    else:
+        n = base.n
+        pairs = set(zip(*(a.tolist() for a in base.upper_edges[:2])))
+        mask = base.mask.tolist()
+    isolated = draw(st.integers(0, 3))
+    edges = [(a, b, draw(WEIGHT)) for a, b in sorted(pairs)]
+    c = {v: draw(WEIGHT) for v in draw(st.lists(st.integers(0, n - 1), max_size=3))}
+    c.update({v: draw(WEIGHT) for v in range(n, n + isolated)})
+    s = R.build_section(n + isolated, edges, c=c, dirichlet=mask)
+    ungrounded = [members[0] for members, g in zip(s.interior_members, s.grounded) if not g]
+    c.update({int(v): draw(WEIGHT) for v in ungrounded})
+    return R.build_section(n + isolated, edges, c=c, dirichlet=mask), kind != "odd"
+
+
+@PROPERTY_SETTINGS
+@given(weighted_graphs(), st.data())
+def test_red_black_cg_matches_dense_solve_in_half_the_iterations(drawn, data):
+    from royden.energy import energy_matrix
+    from royden.numerics import SymOperator, cg_solve
+
+    s, bipartite = drawn
+    rel_tol = 1e-8
+    op = energy_matrix(s, s.interior)
+    A = op.dense()
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+    b = np.array(data.draw(st.lists(entry, min_size=len(A), max_size=len(A))))
+    assume(np.any(b != 0))
+    got = cg_solve(op, b, rel_tol=rel_tol)
+    # the full residual, and the dense answer to within the conditioning
+    assert np.linalg.norm(b - A @ got.x) <= 1.01 * rel_tol * np.linalg.norm(b)
+    want = np.linalg.solve(A, b)
+    err = np.linalg.norm(got.x - want) / np.linalg.norm(want)
+    assert err <= 2 * np.linalg.cond(A) * rel_tol
+    if bipartite:
+        # the same matrix without colour: nothing is eliminated. In exact
+        # arithmetic CG on S from the recovered start matches every second
+        # iterate of CG on A; at 10^+-3 rounding parts the two sequences,
+        # and about one graph in 200 takes one iteration more than half
+        k = cg_solve(SymOperator(op.matrix), b, rel_tol=rel_tol).iterations
+        assert got.iterations <= math.ceil(k / 2) + 2
