@@ -76,6 +76,6 @@ def energy_matrix(s: Section, subset: np.ndarray) -> SymOperator:
     with the section's colour, and holds no reference to the section.
     """
     subset = np.asarray(subset, dtype=int)
-    off = s.sub_adjacency(subset)
+    off = s.adj[subset][:, subset]
     np.negative(off.data, out=off.data)
     return SymOperator(off, colour=s.colour[subset], diagonal=(s.weighted_degree + s.c)[subset])

@@ -91,7 +91,7 @@ class Section:
         Hashable per-vertex labels, unique.
     parity : ndarray or None
         Optional 0/1 per vertex from a builder that knows a 2-colouring
-        (coordinate sums, depths); see colour.
+        (coordinate sums, depths), which spares colour its search.
     """
 
     adj: sp.csr_matrix
@@ -131,23 +131,6 @@ class Section:
         row = np.repeat(np.arange(self.n, dtype=adj.indices.dtype), np.diff(adj.indptr))
         upper = adj.indices > row
         return row[upper], adj.indices[upper], adj.data[upper]
-
-    def sub_adjacency(self, subset: np.ndarray) -> sp.csr_matrix:
-        """adj[subset][:, subset] for distinct vertices subset, gathered in
-        one pass over their rows: on small sections scipy's two fancy
-        indexings cost several times more."""
-        adj = self.adj
-        pos = np.full(self.n, -1, dtype=adj.indices.dtype)
-        pos[subset] = np.arange(len(subset))
-        first = adj.indptr[subset]
-        count = adj.indptr[subset + 1] - first
-        ends = np.cumsum(count)
-        slot = np.arange(ends[-1] if len(ends) else 0) + np.repeat(first - ends + count, count)
-        col = pos[adj.indices[slot]]
-        keep = col >= 0
-        kept = np.bincount(np.repeat(np.arange(len(subset)), count)[keep], minlength=len(subset))
-        indptr = np.concatenate([[0], np.cumsum(kept)]).astype(adj.indices.dtype)
-        return sp.csr_matrix((adj.data[slot[keep]], col[keep], indptr), shape=(len(subset),) * 2)
 
     @cached_property
     def colour(self) -> np.ndarray:
@@ -217,7 +200,8 @@ class Section:
         inter = self.interior
         if len(inter) == 0:
             return comp
-        _, sub_comp = connected_components(self.sub_adjacency(inter), directed=False)
+        sub = self.adj[inter][:, inter]
+        _, sub_comp = connected_components(sub, directed=False)
         comp[inter] = sub_comp
         return comp
 

@@ -136,12 +136,14 @@ class SymOperator:
 
         rhs is one vector, or an (n, k) array of k right-hand sides: then
         x has k columns, iterations sums theirs and residual is the
-        largest. Every right-hand side of the operator's first call runs
-        CG, which hands over to the factor once it stalls (see cg_solve)
-        or runs out of iterations; the result then carries the CG
-        iterations spent. Later calls use the factor first. A factor
-        answer that misses rel_tol gives way to CG with its whole budget,
-        so no answer CG alone would find is lost; when neither route
+        largest. On the operator's first call each right-hand side runs
+        CG until a factor exists: CG hands over to the factor once it
+        stalls (see cg_solve) or runs out of iterations, the result then
+        carrying the CG iterations spent, and the columns after it use
+        that factor. Later calls use the factor first. A factor answer
+        that misses rel_tol gives way to CG with its whole budget, which
+        still stops early once a refused true residual is not below 0.5
+        of the one refused before it (see cg_solve); when neither route
         meets rel_tol, CG's NoConvergence is raised.
         """
         rhs = np.asarray(rhs, dtype=float)
@@ -153,7 +155,7 @@ class SymOperator:
         self._solves += 1
         if rhs.ndim == 1:
             return self._solve(rhs, rel_tol, first)
-        got = [self._solve(b, rel_tol, first) for b in rhs.T]
+        got = [self._solve(b, rel_tol, first and self._lu is None) for b in rhs.T]
         return CGResult(
             np.column_stack([g.x for g in got]) if got else np.zeros(rhs.shape),
             sum(g.iterations for g in got),
@@ -341,13 +343,16 @@ def cg_solve(
     the black rows is recovered from the red ones; iterations counts
     CG's steps on S. Convergence means ||A x - rhs|| <= rel_tol * ||rhs||
     in the Euclidean norm over all rows, checked on the true residual,
-    not the recurrence. Raises NoConvergence past default_max_iter(n)
-    iterations, once r^T z is 0 or once the curvature p^T S p underflows
-    to 0 (it is positive with p scaled by a power of two), and
-    SingularOperator when the curvature is truly <= 0. The iteration
-    runs on rhs scaled by a power of two to a peak in [0.5, 1), which is
-    exact, so tiny or huge data cannot underflow or overflow in its
-    inner products.
+    not the recurrence; when the recurrence meets the target and the
+    true residual does not, CG goes on with the true residual in its
+    place. Raises NoConvergence past default_max_iter(n) iterations,
+    once r^T z is 0, once the curvature p^T S p underflows to 0 (it is
+    positive with p scaled by a power of two), and once a refused true
+    residual is not below 0.5 of the one refused before it (the rounding
+    floor lies above the target); raises SingularOperator when the
+    curvature is truly <= 0. The iteration runs on rhs scaled by a power
+    of two to a peak in [0.5, 1), which is exact, so tiny or huge data
+    cannot underflow or overflow in its inner products.
 
     With stall_exit given, CG may also stop early: once its smallest
     residual so far has not fallen to STALL_DROP of what it was a
@@ -422,7 +427,7 @@ def cg_solve(
             if r_norm <= target:
                 return CGResult(np.ldexp(x, shift), it, math.ldexp(r_norm, shift))
             if r_norm > 0.5 * missed:
-                # CG restarted from the true residual and did not halve it:
+                # CG went on from the true residual and did not halve it:
                 # its rounding floor lies above the target
                 r_norm = math.ldexp(r_norm, shift)
                 raise NoConvergence(

@@ -565,7 +565,7 @@ def default_gap_levels(gen: ExhaustionGenerator) -> tuple:
 def _caps(s: Section, xs, rel_tol: float) -> list:
     """cap(x) on s for every x in xs, from one solve per interior component:
     its columns run CG on the operator's first call, so no sparse factor is
-    built for a handful of vertices."""
+    built for a handful of vertices that CG answers."""
     return [e.cap for e in _equilibria(s, xs, rel_tol)]
 
 

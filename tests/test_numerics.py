@@ -126,6 +126,22 @@ def test_cg_curvature_underflow_hands_over_to_the_factor(exponent, seed):
     np.testing.assert_allclose(np.ldexp(res.x, exponent), want, rtol=1e-10, atol=1e-12)
 
 
+def test_cg_stops_when_the_true_residual_stays_above_the_target():
+    # a path with weights 1 and 1000 and killing 0.001: the rounding floor
+    # of the true relative residual, about 1.16e-10, lies above 1e-10, so
+    # a refused answer is not halved by going on from the true residual
+    A = op([[1.001, -1.0, 0.0], [-1.0, 1001.0, -1000.0], [0.0, -1000.0, 1000.0]])
+    rhs = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(NoConvergence) as err:
+        cg_solve(A, rhs)
+    assert "true residual stuck" in str(err.value)
+    assert err.value.iterations == 4
+    assert 1e-10 < err.value.residual < 2e-10
+    # the factor's answer misses the target too, so solve raises
+    with pytest.raises(NoConvergence):
+        A.solve(rhs)
+
+
 def test_cg_zero_curvature_on_a_null_direction_is_singular():
     # a path Laplacian without grounding: the constant vector is a true null
     # direction, so a zero curvature stays SingularOperator
@@ -231,6 +247,17 @@ def test_solve_direct_fallback_after_cg_budget(monkeypatch):
     assert res.iterations == 2
     assert res.residual <= 1e-10 * np.linalg.norm(rhs)
     np.testing.assert_allclose(res.x, np.linalg.solve(A.dense(), rhs), rtol=1e-8)
+
+
+def test_solve_columns_after_the_factor_use_it(monkeypatch):
+    # the first column runs out of CG budget and builds the factor; the
+    # other columns of the same call go to it without running CG
+    A, rhs = _hard_system()
+    cg_budget(monkeypatch, 2)
+    cols = np.column_stack([rhs, 2.0 * rhs, -rhs])
+    res = A.solve(cols, rel_tol=1e-10)
+    assert res.iterations == 2
+    np.testing.assert_allclose(res.x, np.linalg.solve(A.dense(), cols), rtol=1e-8)
 
 
 def test_solve_reraises_cg_failure(monkeypatch):
