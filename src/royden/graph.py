@@ -1025,8 +1025,8 @@ def serialize_graph_file(s: Section) -> str:
             lines.append(f"L {i} {token}")
     coo = sp.triu(s.adj, k=1).tocoo()
     order = np.lexsort((coo.col, coo.row))
-    for k in order:
-        lines.append(f"E {coo.row[k]} {coo.col[k]} {repr(float(coo.data[k]))}")
+    rows, cols, weights = (a[order].tolist() for a in (coo.row, coo.col, coo.data.astype(float)))
+    lines += [f"E {a} {b} {w!r}" for a, b, w in zip(rows, cols, weights)]
     for v in np.flatnonzero(s.c):
         lines.append(f"C {v} {repr(float(s.c[v]))}")
     for v in np.flatnonzero(s.m != 1.0):

@@ -219,7 +219,7 @@ class SymOperator:
         residual = float(np.linalg.norm(b - self.apply(x)))
         if not residual <= rel_tol * float(np.linalg.norm(b)):
             return None
-        return CGResult(np.ldexp(x, shift), iterations, math.ldexp(residual, shift))
+        return CGResult(np.ldexp(x, shift), iterations, _ldexp(residual, shift))
 
 
 def _block(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape, dtype) -> sp.csr_matrix:
@@ -330,6 +330,15 @@ def default_max_iter(dimension: int) -> int:
     return int(20 * math.isqrt(max(dimension, 1)) + 200)
 
 
+def _ldexp(x: float, shift: int) -> float:
+    """x 2^shift, scaling a residual back; inf past the float range,
+    where math.ldexp raises OverflowError."""
+    try:
+        return math.ldexp(x, shift)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def cg_solve(
     A: SymOperator,
     rhs: np.ndarray,
@@ -380,7 +389,7 @@ def cg_solve(
     # x_R = 0 with x_B recovered from it, and its true residual
     x, r, r_norm = split.recover(rhs, np.zeros(len(split.red)))
     if r_norm <= target:  # the right-hand side lives on rows that recovery answers
-        return CGResult(np.ldexp(x, shift), 0, math.ldexp(r_norm, shift))
+        return CGResult(np.ldexp(x, shift), 0, _ldexp(r_norm, shift))
     diag = split.d_red
     # zero diagonal rows are acceptable only where rhs is zero
     dead = diag == 0
@@ -397,7 +406,7 @@ def cg_solve(
 
     for it in range(1, max_iter + 1):
         if rz == 0.0:  # r is not 0 here: r^T z underflowed (huge diagonal)
-            r_norm = math.ldexp(r_norm, shift)
+            r_norm = _ldexp(r_norm, shift)
             raise NoConvergence(
                 f"breakdown after {it - 1} iterations: r^T z is 0 (residual {r_norm:g})",
                 iterations=it - 1,
@@ -407,7 +416,7 @@ def cg_solve(
         pSp = float(p @ Sp)
         if pSp <= 0.0:
             if pSp == 0.0 and _curvature_underflows(split.schur, p):
-                r_norm = math.ldexp(r_norm, shift)
+                r_norm = _ldexp(r_norm, shift)
                 raise NoConvergence(
                     f"breakdown after {it - 1} iterations: the curvature underflowed "
                     f"(residual {r_norm:g})",
@@ -425,14 +434,14 @@ def cg_solve(
             # confirm on the true residual over all rows before accepting
             x, r, r_norm = split.recover(rhs, x_red)
             if r_norm <= target:
-                return CGResult(np.ldexp(x, shift), it, math.ldexp(r_norm, shift))
+                return CGResult(np.ldexp(x, shift), it, _ldexp(r_norm, shift))
             if r_norm > 0.5 * missed:
                 # CG went on from the true residual and did not halve it:
                 # its rounding floor lies above the target
-                r_norm = math.ldexp(r_norm, shift)
+                r_norm = _ldexp(r_norm, shift)
                 raise NoConvergence(
                     f"true residual stuck at {r_norm:g} after {it} iterations "
-                    f"(target {math.ldexp(target, shift):g})",
+                    f"(target {_ldexp(target, shift):g})",
                     iterations=it,
                     residual=r_norm,
                 )
@@ -443,9 +452,9 @@ def cg_solve(
                 if stall_exit():
                     raise NoConvergence(
                         f"stalled after {it} iterations (residual "
-                        f"{math.ldexp(r_norm, shift):g}, target {math.ldexp(target, shift):g})",
+                        f"{_ldexp(r_norm, shift):g}, target {_ldexp(target, shift):g})",
                         iterations=it,
-                        residual=math.ldexp(r_norm, shift),
+                        residual=_ldexp(r_norm, shift),
                     )
                 stall_exit = None
         z = inv_diag * r
@@ -454,7 +463,7 @@ def cg_solve(
         p += z
         rz = rz_next
 
-    r_norm, target = math.ldexp(r_norm, shift), math.ldexp(target, shift)
+    r_norm, target = _ldexp(r_norm, shift), _ldexp(target, shift)
     raise NoConvergence(
         f"no convergence within {max_iter} iterations (residual {r_norm:g}, target {target:g})",
         iterations=max_iter,

@@ -212,8 +212,10 @@ def eigenvalue_bounds_check(
     enumeration is either "measure-decreasing" (greedy removal of heavy
     vertices first, the order that sharpens the bound fastest) or an
     explicit permutation of the interior vertices. Only the eigenvalues
-    are computed.
+    are computed. An interior component with neither mask nor killing
+    has capacity 0 and no finite C: it raises UngroundedComponent.
     """
+    s.ensure_grounded()
     spec = spectrum(s, vectors=False)
     inter = spec.interior
     order_pos = _resolve_enumeration(s, inter, enumeration)

@@ -21,9 +21,13 @@ alias pass altogether.
 Randomness is counter-based: the uniform consumed by trial i at step k
 is a hash of (seed, i, k). Trials therefore own disjoint streams and the
 estimate is a pure function of (section, o, trials, seed), bit-identical
-under any chunking or thread count. Each chunk of trials hashes in three
-buffers of its own, and one gather of a per-vertex state (walking on,
-masked, origin) tells which trials absorbed and how.
+under any chunking or thread count, and the loop may drop absorbed
+trials at any step it likes. The walk steps on a copy of the tables in
+which every slot that leads into the mask leads to an escape sink and
+every slot that leads back to o to a return sink (_Absorbing). An
+absorbed trial stays in its sink and is dropped with the others every
+_COMPACT steps, when the escapes are counted. Each chunk of trials
+hashes and steps in buffers of its own, which every step reuses.
 
 Once at most _TAIL trials are live, or after _LONG steps, each live
 trial is walked on to its end alone, in python scalars on the same
@@ -57,6 +61,7 @@ _STEP_LIMIT = 50_000_000
 _CHUNK = 65536  # trials per chunk, the unit of work a thread takes
 _TAIL = 64  # live trials at or below which each is finished on its own
 _LONG = 1 << 18  # steps after which every live trial is finished on its own
+_COMPACT = 8  # steps between the passes that drop absorbed trials
 # slots above which a row's alias table pairs alone in heaps rather than
 # in the vectorised rounds: on k weighted stars of d leaves each the two
 # cost the same near d = 128 (k = 100) to 180 (k = 1000)
@@ -81,6 +86,19 @@ def _trial_keys(seed: int, trial_ids: np.ndarray) -> np.ndarray:
     return _mix64(base + _GOLDEN * (trial_ids.astype(np.uint64) + np.uint64(1)))
 
 
+def _bits(keys: np.ndarray, step: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each trial key's hash at this step, in z.
+
+    z and tmp are uint64 buffers of len(keys); the hash runs in them.
+    """
+    # the offset's uint64 wraparound computed in python ints, to keep
+    # numpy from warning on intended scalar overflow
+    np.add(keys, np.uint64((int(_GOLDEN) * (step + 1)) & 0xFFFFFFFFFFFFFFFF), out=z)
+    _mix64(z, tmp)
+    z >>= 11
+    return z
+
+
 def _uniforms(keys: np.ndarray, step: int, out) -> np.ndarray:
     """The uniform of each trial key at this step, in [0, 1).
 
@@ -88,14 +106,8 @@ def _uniforms(keys: np.ndarray, step: int, out) -> np.ndarray:
     three buffers at least len(keys) long, two uint64 and one float64;
     the hash runs in them and the result is a view of the third.
     """
-    n = len(keys)
-    z, tmp, u = (b[:n] for b in out)
-    # the offset's uint64 wraparound computed in python ints, to keep
-    # numpy from warning on intended scalar overflow
-    np.add(keys, np.uint64((int(_GOLDEN) * (step + 1)) & 0xFFFFFFFFFFFFFFFF), out=z)
-    _mix64(z, tmp)
-    z >>= 11
-    return np.multiply(z, 2.0**-53, out=u)
+    z, tmp, u = (b[: len(keys)] for b in out)
+    return np.multiply(_bits(keys, step, z, tmp), 2.0**-53, out=u)
 
 
 def _trial_uniforms(key: np.uint64, start: int, stop: int) -> list[float]:
@@ -135,7 +147,8 @@ class _Transitions:
     and the same arithmetic. On a row of equal weights q is 1 up to rounding,
     and exactly 1 for the unit weights of lattices and trees, so every
     accept is 1; a table with no accept below 1 has _lends False, and
-    step skips the alias pass, which could not change a draw.
+    the step skips the alias pass, which could not change a draw. The
+    tables hold real vertex ids; _Absorbing copies them for one start.
     """
 
     def __init__(self, s: Section):
@@ -181,21 +194,6 @@ class _Transitions:
         # with no accept below 1 no fractional part reaches one: no slot lends
         self._lends = bool((accept < 1.0).any())
 
-    def step(self, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Next vertex of each walker at pos, one uniform u in [0, 1) each."""
-        x = u * self.deg.take(pos)
-        slot = x.astype(np.intp)
-        if self._lends:
-            x -= slot  # the fractional part picks the neighbor or the alias
-        slot += self.start.take(pos)
-        # positions in intp: numpy casts a narrower index array at every gather
-        nxt = self.nbr.take(slot).astype(np.intp)
-        if self._lends:
-            lend = np.flatnonzero(x >= self.accept.take(slot))
-            if len(lend):
-                nxt[lend] = self.alias.take(slot[lend])
-        return nxt
-
 
 def _pair_row(q: list[float]) -> tuple[list[int], list[int], list[float]]:
     """Vose's pairing on one row's scaled masses, a closed slot's q nan.
@@ -222,7 +220,7 @@ def _pair_row(q: list[float]) -> tuple[list[int], list[int], list[float]]:
 def _finish(trans: _Transitions, mask: np.ndarray, o: int, v: int, key: np.uint64, step: int) -> int:
     """Walk one trial on from vertex v after step steps; 1 if it escapes.
 
-    The same draw as _Transitions.step in python scalars, on the same
+    The same draw as _Absorbing.step in python scalars, on the same
     uniforms, in blocks of steps that double up to _CHUNK.
     """
     deg, start, nbr, accept, alias = map(
@@ -244,39 +242,95 @@ def _finish(trans: _Transitions, mask: np.ndarray, o: int, v: int, key: np.uint6
     raise RoydenError(f"walk failed to absorb within {_STEP_LIMIT} steps")
 
 
-def _run_chunk(
-    trans: _Transitions,
-    mask: np.ndarray,
-    o: int,
-    seed: int,
-    start: int,
-    stop: int,
-) -> int:
-    ids = np.arange(start, stop, dtype=np.uint64)
-    keys = _trial_keys(seed, ids)
-    pos = np.full(len(ids), o, dtype=np.int64)
-    # each call owns its hash buffers: threads share trans
-    bufs = np.empty(len(ids), np.uint64), np.empty(len(ids), np.uint64), np.empty(len(ids))
-    # one gather tells each trial's fate: 0 walks on, 1 escaped, 2 returned
-    state = mask.astype(np.int8)
-    state[o] = 2
-    successes = 0
-    step = 0
+class _Absorbing:
+    """The tables of _Transitions for walks from o, with two sink vertices.
+
+    A slot whose neighbor or alias is masked leads to the sink n instead,
+    and one that leads back to o to the sink n + 1; o's own row is kept, so
+    the first step draws from it as before. Each sink has degree 0 and
+    one slot, its own, so a trial that absorbed stays where it is and its
+    fate reads off its position: below n it walks on, at n it escaped.
+    Positions and tables are int32 while the slots fit, and each vertex
+    keeps deg(v) 2^-53, so that the 53 hash bits b of a trial's uniform
+    give u deg(v) as b (deg(v) 2^-53), rounded once to the same double.
+    """
+
+    def __init__(self, trans: _Transitions, mask: np.ndarray, o: int):
+        n, slots = len(mask), len(trans.nbr)
+        self.trans, self.mask, self.o = trans, mask, o  # for _finish
+        self.n, self.lends = n, trans._lends
+        self.index = np.int32 if max(n, slots) + 2 <= 2**31 else np.intp
+
+        def sunk(table):
+            out = np.empty(slots + 2, self.index)
+            out[:slots] = np.where(mask.take(table), n, table)
+            out[:slots][table == o] = n + 1
+            out[slots:] = n, n + 1
+            return out
+
+        self.nbr = sunk(trans.nbr)
+        self.start = np.append(trans.start, (slots, slots + 1)).astype(self.index)
+        self.scale = np.append(trans.deg, (0.0, 0.0)) * 2.0**-53
+        if self.lends:
+            self.alias = sunk(trans.alias)
+            self.accept = np.append(trans.accept, (1.0, 1.0))
+
+    def buffers(self, size: int) -> list[np.ndarray]:
+        """The buffers of step for up to size trials, one set per chunk."""
+        bufs = [np.empty(size, np.uint64), np.empty(size, np.uint64)]
+        bufs += [np.empty(size, self.index), np.empty(size, self.index)]
+        if self.lends:
+            bufs += [np.empty(size), np.empty(size, bool)]
+        return bufs
+
+    def step(self, pos: np.ndarray, bits: np.ndarray, bufs) -> None:
+        """Move each trial at pos one step, in place.
+
+        bits are the top 53 bits of each trial's uniform, as int64; bufs
+        are buffers(len(pos)), the first holding bits; every gather
+        writes into one of the others (mode="raise" would buffer its out).
+        """
+        _, x, col, tmp, *lending = bufs
+        x = x.view(np.float64)
+        self.scale.take(pos, out=x, mode="wrap")
+        x *= bits
+        np.copyto(col, x, casting="unsafe")  # the integer part picks a slot
+        if self.lends:
+            x -= col  # the fractional part picks the neighbor or the alias
+        col += self.start.take(pos, out=tmp, mode="wrap")
+        self.nbr.take(col, out=pos, mode="wrap")
+        if self.lends:
+            accept, lend = lending
+            np.greater_equal(x, self.accept.take(col, out=accept, mode="wrap"), out=lend)
+            np.copyto(pos, self.alias.take(col, out=tmp, mode="wrap"), where=lend)
+
+
+def _run_chunk(walk: _Absorbing, seed: int, start: int, stop: int) -> int:
+    keys = _trial_keys(seed, np.arange(start, stop, dtype=np.uint64))
+    pos = np.full(len(keys), walk.o, dtype=walk.index)
+    bufs = walk.buffers(len(keys))  # each call owns its buffers: threads share the tables
+    successes = step = 0
     # a numpy step costs tens of microseconds however few trials are live,
     # as much as a hundred python steps; past _LONG steps the live trials
     # are a slow tail or held by a weight trap, and a trapped trial walked
     # on its own reaches _STEP_LIMIT in seconds rather than hours
-    while len(pos) > _TAIL and step < _LONG:
-        pos = trans.step(pos, _uniforms(keys, step, bufs))
-        fate = state.take(pos)
-        successes += int(np.count_nonzero(fate == 1))
-        alive = fate == 0
-        pos = pos[alive]
-        keys = keys[alive]
-        step += 1
-        if step > _STEP_LIMIT:
-            raise RoydenError(f"walk failed to absorb within {_STEP_LIMIT} steps")
-    return successes + sum(_finish(trans, mask, o, v, k, step) for v, k in zip(pos.tolist(), keys))
+    limit = min(_LONG, _STEP_LIMIT)
+    while len(pos) > _TAIL and step < limit:
+        # absorbed trials ride along in their sinks for up to _COMPACT
+        # steps: after the first few steps few absorb per step, and
+        # dropping them costs a pass over every live trial
+        live = [b[: len(pos)] for b in bufs]
+        bits = live[0].view(np.int64)
+        for _ in range(min(_COMPACT, limit - step)):
+            _bits(keys, step, *live[:2])
+            walk.step(pos, bits, live)
+            step += 1
+        successes += int(np.count_nonzero(pos == walk.n))
+        walking = pos < walk.n
+        pos, keys = pos[walking], keys[walking]
+    return successes + sum(
+        _finish(walk.trans, walk.mask, walk.o, v, k, step) for v, k in zip(pos.tolist(), keys)
+    )
 
 
 def escape_probability(
@@ -315,11 +369,10 @@ def escape_probability(
     if s.weighted_degree[oi] == 0:
         raise InvalidParameter("start vertex has no edges")
 
-    trans = _Transitions(s)
-    mask = np.asarray(s.dirichlet, dtype=bool)
+    walk = _Absorbing(_Transitions(s), np.asarray(s.dirichlet, dtype=bool), oi)
     ranges = [(a, min(a + _CHUNK, trials)) for a in range(0, trials, _CHUNK)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        successes = sum(pool.map(lambda r: _run_chunk(trans, mask, oi, seed, *r), ranges))
+        successes = sum(pool.map(lambda r: _run_chunk(walk, seed, *r), ranges))
 
     p = successes / trials
     stderr = float(np.sqrt(p * (1.0 - p) / trials))

@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from royden import build_section
+from royden import build_section, walker
 
 
 @pytest.fixture
@@ -105,3 +107,13 @@ class CountingGenerator:
         self.gen = custom_generator(
             counted, origin=origin, family=family, is_vertex_transitive=transitive
         )
+
+
+def walk_routes(section, o, trials, seed, threads=1):
+    """Successes of escape_probability with every step vectorised, and
+    with every trial walked alone in python scalars from its start."""
+    with mock.patch.object(walker, "_TAIL", 0), mock.patch.object(walker, "_LONG", walker._STEP_LIMIT):
+        vectorised = walker.escape_probability(section, o, trials, seed, threads).successes
+    with mock.patch.object(walker, "_LONG", 0):
+        alone = walker.escape_probability(section, o, trials, seed, threads).successes
+    return vectorised, alone

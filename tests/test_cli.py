@@ -41,7 +41,7 @@ def graph_file(tmp_path):
 
 @pytest.fixture
 def fn_file(tmp_path, graph_file):
-    s = R.parse_graph_file(open(graph_file).read())
+    s = R.parse_graph_file(Path(graph_file).read_text())
     f = R.solve_dirichlet(s, {-3: 0.0, 3: 1.0})
     path = tmp_path / "sol.fn"
     path.write_text(R.serialize_vertex_fn(f))
@@ -68,7 +68,7 @@ def test_validate_and_gen_round_trip(capsys, graph_file):
     code, text = run(capsys, "gen", "--generator", "lattice:d=1,r=3")
     assert code == 0
     assert R.sections_equal(
-        R.parse_graph_file(text), R.parse_graph_file(open(graph_file).read())
+        R.parse_graph_file(text), R.parse_graph_file(Path(graph_file).read_text())
     )
 
 
@@ -317,7 +317,7 @@ def test_trace_prints_heat_trace_at_every_time_from_one_spectrum(capsys, monkeyp
     times = [0.0, 0.01, 0.5, 1.0, 10.0, 1e3]
     payload = run_json(capsys, "trace", "--graph", graph_file, "--times", ",".join(map(str, times)))
     assert len(calls) == 1
-    s = R.parse_graph_file(open(graph_file).read())
+    s = R.parse_graph_file(Path(graph_file).read_text())
     assert payload["points"] == [{"t": t, "trace": R.heat_trace(s, t)} for t in times]
 
 
@@ -339,8 +339,8 @@ def test_heat_check_eigendecomposes_once(capsys, monkeypatch, graph_file, fn_fil
     assert code == 0, out
     assert len(calls) == 1
     # the same values, bit for bit, as heating and checking with a spectrum each
-    s = R.parse_graph_file(open(graph_file).read())
-    f = R.parse_vertex_fn(open(fn_file).read(), s)
+    s = R.parse_graph_file(Path(graph_file).read_text())
+    f = R.parse_vertex_fn(Path(fn_file).read_text(), s)
     rep = R.ultracontractivity_check(s, 0.25, seed=5)
     want = {
         "command": "heat",
@@ -416,6 +416,15 @@ def test_spectrum_lanczos_on_ungrounded_section_exits_1(capsys, tmp_path):
     path = tmp_path / "path600.graph"
     path.write_text(R.serialize_graph_file(s))
     code, out = run(capsys, "spectrum", "--graph", str(path), "--k", "1")
+    assert code == 1
+    assert json.loads(out)["error"] == "UngroundedComponent"
+
+
+def test_bounds_on_ungrounded_section_exits_1(capsys, tmp_path):
+    # capacity 0 leaves no finite C, which the bounds schema needs
+    path = tmp_path / "edge.graph"
+    path.write_text("V 2\nE 0 1 3.0\n")
+    code, out = run(capsys, "bounds", "--graph", str(path))
     assert code == 1
     assert json.loads(out)["error"] == "UngroundedComponent"
 

@@ -142,6 +142,16 @@ def test_cg_stops_when_the_true_residual_stays_above_the_target():
         A.solve(rhs)
 
 
+def test_cg_residual_past_the_float_range_reads_inf(monkeypatch):
+    # the right-hand side peaks at 1.7e308, so CG runs on it scaled by
+    # 2^-1024, and one iteration leaves a scaled residual above 1
+    cg_budget(monkeypatch, 1)
+    T = sp.diags([np.full(49, -1.0), np.full(50, 2.0), np.full(49, -1.0)], [-1, 0, 1])
+    with pytest.raises(NoConvergence, match="residual inf") as err:
+        cg_solve(SymOperator(T.tocsr()), np.full(50, 1.7e308))
+    assert err.value.residual == np.inf
+
+
 def test_cg_zero_curvature_on_a_null_direction_is_singular():
     # a path Laplacian without grounding: the constant vector is a true null
     # direction, so a zero curvature stays SingularOperator

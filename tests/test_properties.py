@@ -28,8 +28,12 @@ from royden import potential, spectral, walker
 from royden.numerics import dense_eigh
 from royden.errors import UngroundedComponent
 
+from conftest import walk_routes
+
 WEIGHT = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
 WIDE_WEIGHT = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+# narrow enough that no edge traps a walk for long
+WALK_WEIGHT = st.floats(-1.0, 1.0).map(lambda e: 10.0**e)
 MASS = st.floats(-1.0, 1.0).map(lambda e: 10.0**e)
 
 
@@ -411,6 +415,24 @@ def test_alias_tables_rebuild_the_transition_probabilities(s):
         np.add.at(P, trans.nbr[slots], accept)
         np.add.at(P, trans.alias[slots], 1.0 - accept)
         np.testing.assert_allclose(P / deg[v], W[v] / W[v].sum(), rtol=0.0, atol=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(sections(weight=WALK_WEIGHT), st.data())
+def test_vectorised_walk_draws_as_trials_walked_alone(s, data):
+    # the killing dropped, since the walk has no death; any start with
+    # edges whose component reaches the mask
+    coo = s.adj.tocoo()
+    up = coo.row < coo.col
+    edges = zip(coo.row[up].tolist(), coo.col[up].tolist(), coo.data[up].tolist())
+    s = R.build_section(s.n, edges, dirichlet=s.mask)
+    comp = s.full_components
+    reach = s.dirichlet & (comp[:, None] == comp)
+    starts = [v for v in s.interior.tolist() if s.weighted_degree[v] > 0 and reach[v].any()]
+    assume(starts and walker._Transitions(s)._lends)
+    o = s.labels[data.draw(st.sampled_from(starts))]
+    vectorised, alone = walk_routes(s, o, trials=200, seed=data.draw(st.integers(0, 2**32 - 1)))
+    assert vectorised == alone
 
 
 def _pencil_eigenvalues(s):

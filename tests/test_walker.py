@@ -9,7 +9,7 @@ from royden import walker
 from royden.cli import main
 from royden.errors import InvalidParameter, KillingUnsupported, RoydenError, UnmaskedSection
 
-from conftest import random_section
+from conftest import random_section, walk_routes
 
 
 def test_forced_escape_probability_one():
@@ -111,14 +111,36 @@ def test_random_fixture_capacity_match():
         assert pi * est.estimate == pytest.approx(cap, abs=3.5 * pi * max(est.stderr, 1e-5))
 
 
+def _log_uniform_z2(r=20, decades=3.0):
+    """Z^2 box of radius r with edge weights log-uniform over 10^-decades..10^decades."""
+    z = R.generate_lattice(2, r)
+    coo = z.adj.tocoo()
+    up = coo.row < coo.col
+    w = 10.0 ** np.random.default_rng(0).uniform(-decades, decades, int(up.sum()))
+    edges = zip(coo.row[up].tolist(), coo.col[up].tolist(), w.tolist())
+    return R.build_section(z.n, edges, dirichlet=z.mask, labels=z.labels)
+
+
+def _masked_star(leaves):
+    """A hub at 0 with leaves weighted log-uniform over 10^-1..10^1, every tenth masked."""
+    w = 10.0 ** np.random.default_rng(1).uniform(-1.0, 1.0, leaves)
+    edges = zip([0] * leaves, range(1, leaves + 1), w.tolist())
+    return R.build_section(leaves + 1, edges, dirichlet=range(1, leaves + 1, 10))
+
+
 @pytest.mark.parametrize(
     "section, o",
     [
         (R.generate_lattice(3, 8), (0, 0, 0)),
         (R.build_section(3, [(0, 1, 3.0), (1, 2, 1.0)], dirichlet=[2]), 0),
         (random_section(np.random.default_rng(40), n_max=20), None),
+        # starts one step from the mask, and a leaf of a hub wider than
+        # _WIDE, whose row pairs alone
+        (R.generate_lattice(2, 6), (5, 0)),
+        (_log_uniform_z2(6, 1.0), (5, 5)),
+        (_masked_star(200), 2),
     ],
-    ids=["z3-r8", "weighted-p3", "random-weighted"],
+    ids=["z3-r8", "weighted-p3", "random-weighted", "next-to-the-mask", "weighted-corner", "hub"],
 )
 def test_python_steps_match_numpy_steps(monkeypatch, section, o):
     # trials finished one at a time in python scalars read the same
@@ -149,16 +171,6 @@ def test_equal_weight_counts_are_pinned():
     assert got == [13576, 13777, 13698]
 
 
-def _log_uniform_z2():
-    """Z^2 r=20 with edge weights log-uniform over 10^-3..10^3."""
-    z = R.generate_lattice(2, 20)
-    coo = z.adj.tocoo()
-    up = coo.row < coo.col
-    w = 10.0 ** np.random.default_rng(0).uniform(-3.0, 3.0, int(up.sum()))
-    edges = zip(coo.row[up].tolist(), coo.col[up].tolist(), w.tolist())
-    return R.build_section(z.n, edges, dirichlet=z.mask, labels=z.labels)
-
-
 def test_weighted_counts_are_pinned():
     # recorded before unit-weight tables skipped the lending pass: on
     # weighted tables that pass still runs and must draw as before
@@ -181,13 +193,24 @@ def test_skipped_lending_pass_draws_the_same_vertices(section):
     # unit weights: every accept is 1, so no fractional part lends
     trans = walker._Transitions(section)
     assert not trans._lends
+    mask, o = np.asarray(section.dirichlet), int(section.interior[0])
+    skipping = walker._Absorbing(trans, mask, o)
+    trans._lends = True
+    lending = walker._Absorbing(trans, mask, o)
     rng = np.random.default_rng(5)
     pos = rng.choice(np.flatnonzero(np.diff(section.adj.indptr)), size=20_000)
-    u = walker._uniforms(walker._trial_keys(7, np.arange(len(pos))), 3, _buffers(len(pos)))
-    u[:2] = 0.0, 1.0 - 2.0**-53  # the least and the largest uniform drawn
-    skipped = trans.step(pos, u)
-    trans._lends = True
-    assert trans.step(pos, u).tolist() == skipped.tolist()
+    bits = walker._bits(walker._trial_keys(7, np.arange(len(pos))), 3, *_buffers(len(pos))[:2])
+    bits[:2] = 0, 2**53 - 1  # the least and the largest uniform drawn
+    skipped = _step(skipping, pos, bits)
+    assert _step(lending, pos, bits).tolist() == skipped.tolist()
+    assert {section.n, section.n + 1} <= set(skipped.tolist())  # both sinks drawn
+
+
+def _step(walk, pos, bits):
+    """The positions after one step of walk from pos on these hash bits."""
+    pos = np.array(pos, dtype=walk.index)
+    walk.step(pos, np.asarray(bits).view(np.int64), walk.buffers(len(pos)))
+    return pos
 
 
 def _buffers(n):
@@ -231,15 +254,24 @@ def test_weighted_hubs_paired_alone_equal_the_rounds(monkeypatch, hubs, leaves):
     assert (heaps.accept < 1.0).sum() > 0.75 * hubs * leaves
 
 
+def test_small_chunks_at_two_threads_draw_as_one_chunk(monkeypatch):
+    # 2,500 trials in chunks of 1,000, the last one short
+    s = _log_uniform_z2(6, 1.0)
+    assert walker._Transitions(s)._lends
+    want = R.escape_probability(s, (0, 0), trials=2500, seed=8).successes
+    monkeypatch.setattr(walker, "_CHUNK", 1000)
+    for threads in 1, 2:
+        assert walk_routes(s, (0, 0), trials=2500, seed=8, threads=threads) == (want, want)
+
+
 @pytest.mark.parametrize("deg", range(1, 65))
 def test_largest_uniform_lands_on_a_real_slot(deg):
     # the hub's slots are followed by the first leaf's, so a column of deg
-    # would read the next row; u = 1 - 2^-53 is the largest uniform drawn
+    # would read the next row; u = 1 - 2^-53 is the largest uniform drawn.
+    # With nothing masked no slot leads to a sink
     s = R.build_section(deg + 1, [(0, v, 1.0) for v in range(1, deg + 1)], dirichlet=[1])
-    trans = walker._Transitions(s)
-    hub = np.zeros(2, dtype=np.int64)
-    nxt = trans.step(hub, np.array([0.0, 1.0 - 2.0**-53]))
-    assert nxt.tolist() == [1, deg]
+    walk = walker._Absorbing(walker._Transitions(s), np.zeros(s.n, dtype=bool), 0)
+    assert _step(walk, [0, 0], np.array([0, 2**53 - 1], np.uint64)).tolist() == [1, deg]
 
 
 def test_alias_tables_grow_with_edges_not_with_the_widest_row():
